@@ -15,7 +15,8 @@ using namespace dta;
 using namespace dta::bench;
 
 int bench_main(int argc, char** argv) {
-    const std::uint32_t iters = arg_u32(argc, argv, "--iterations", 2000);
+    const std::uint32_t iters =
+        parse_args(argc, argv, kIterations, 2000).iterations;
     banner("ABL-BLOCK", "non-blocking (Fig. 4) vs blocking DMA wait");
     std::printf("%-10s%-16s%-16s%-14s\n", "bench", "non-blocking",
                 "blocking", "penalty");

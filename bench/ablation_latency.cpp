@@ -14,7 +14,8 @@ using namespace dta;
 using namespace dta::bench;
 
 int bench_main(int argc, char** argv) {
-    const std::uint32_t iters = arg_u32(argc, argv, "--iterations", 2000);
+    const std::uint32_t iters =
+        parse_args(argc, argv, kIterations, 2000).iterations;
     banner("ABL-LAT", "main-memory latency sweep, prefetch speedup");
     std::printf("%-10s%-12s%-12s%-12s\n", "latency", "mmul", "zoom", "bitcnt");
     for (const std::uint32_t lat : {1u, 25u, 75u, 150u, 300u, 600u}) {

@@ -12,7 +12,8 @@ using namespace dta;
 using namespace dta::bench;
 
 int bench_main(int argc, char** argv) {
-    const std::uint32_t iters = arg_u32(argc, argv, "--iterations", 2000);
+    const std::uint32_t iters =
+        parse_args(argc, argv, kIterations, 2000).iterations;
     banner("ABL-MFC", "MFC command queue & latency sweep (defaults: 16, 30)");
 
     std::puts("command latency sweep (queue depth 16):");

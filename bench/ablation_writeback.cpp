@@ -51,6 +51,7 @@ int bench_main() {
     return 0;
 }
 
-int main(int, char** argv) {
+int main(int argc, char** argv) {
+    (void)parse_args(argc, argv, 0);
     return guarded_main([] { return bench_main(); }, argv[0]);
 }

@@ -10,6 +10,7 @@
 #include <optional>
 #include <string>
 
+#include "../tools/cli_util.hpp"
 #include "bench_emit.hpp"
 #include "sim/check.hpp"
 #include "sim/events.hpp"
@@ -44,44 +45,65 @@ inline workloads::BitCount::Params bitcnt_params(std::uint32_t iterations) {
     return p;
 }
 
-/// `--iterations N` style override so CI can run benches at reduced scale.
-inline std::uint32_t arg_u32(int argc, char** argv, const char* flag,
-                             std::uint32_t fallback) {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::string(argv[i]) == flag) {
-            return static_cast<std::uint32_t>(std::atoi(argv[i + 1]));
-        }
-    }
-    return fallback;
-}
+/// The flags a bench main accepts.  `--iterations N` lets CI run the bitcnt
+/// benches at reduced scale; `--nodes N` spreads the workload's PEs over N
+/// nodes.
+enum ArgFlag : unsigned { kIterations = 1u, kNodes = 2u };
 
-/// Machine-shape overrides shared by every bench main: `--nodes N` spreads
-/// the workload's PEs over N nodes (0 keeps the workload's default shape)
-/// and `--threads N` picks the host-thread count for the sharded run loop
-/// (1 = single-threaded reference; results are bit-identical either way).
-struct Shape {
-    std::uint16_t nodes = 0;
-    std::uint32_t threads = 1;
+struct Args {
+    std::uint32_t iterations = 0;  ///< bitcnt iterations (kIterations)
+    std::uint16_t nodes = 0;       ///< 0 keeps the workload's shape (kNodes)
 };
 
-inline Shape shape_from_args(int argc, char** argv) {
-    Shape s;
-    s.nodes = static_cast<std::uint16_t>(arg_u32(argc, argv, "--nodes", 0));
-    s.threads = arg_u32(argc, argv, "--threads", 1);
-    return s;
+/// Parses a bench main's command line through tools/cli_util.hpp: only the
+/// \p accepted flags are recognised, and an unknown flag, a missing value
+/// or a malformed one prints one line and exits 2, like every dta_* tool.
+inline Args parse_args(int argc, char** argv, unsigned accepted,
+                       std::uint32_t default_iterations = 0) {
+    Args args;
+    args.iterations = default_iterations;
+    for (int i = 1; i < argc; ++i) {
+        const std::string flag = argv[i];
+        const bool iterations =
+            flag == "--iterations" && (accepted & kIterations) != 0;
+        const bool nodes = flag == "--nodes" && (accepted & kNodes) != 0;
+        if (!iterations && !nodes) {
+            std::string known;
+            if ((accepted & kIterations) != 0) {
+                known += " --iterations N";
+            }
+            if ((accepted & kNodes) != 0) {
+                known += " --nodes N";
+            }
+            std::fprintf(stderr, "%s: unknown option '%s' (accepted:%s)\n",
+                         argv[0], argv[i],
+                         known.empty() ? " none" : known.c_str());
+            std::exit(2);
+        }
+        const char* value = i + 1 < argc ? argv[++i] : nullptr;
+        if (iterations) {
+            args.iterations = cli::parse_uint<std::uint32_t>(
+                argv[0], "--iterations", value, 1);
+        } else {
+            args.nodes =
+                cli::parse_uint<std::uint16_t>(argv[0], "--nodes", value, 1);
+        }
+    }
+    return args;
 }
 
-/// Applies \p s to a workload's machine config, keeping the total PE count
-/// (so the simulated machine stays comparable across shapes).
-inline core::MachineConfig shaped(core::MachineConfig cfg, const Shape& s) {
-    if (s.nodes > 0) {
+/// Spreads a workload's machine config over \p nodes nodes (0 keeps it),
+/// keeping the total PE count so the simulated machine stays comparable
+/// across shapes.
+inline core::MachineConfig shaped(core::MachineConfig cfg,
+                                  std::uint16_t nodes) {
+    if (nodes > 0) {
         const std::uint32_t total = cfg.total_pes();
-        DTA_SIM_REQUIRE(total % s.nodes == 0,
+        DTA_SIM_REQUIRE(total % nodes == 0,
                         "--nodes must divide the total PE count");
-        cfg.nodes = s.nodes;
-        cfg.spes_per_node = static_cast<std::uint16_t>(total / s.nodes);
+        cfg.nodes = nodes;
+        cfg.spes_per_node = static_cast<std::uint16_t>(total / nodes);
     }
-    cfg.host_threads = s.threads;
     return cfg;
 }
 
@@ -150,60 +172,6 @@ workloads::RunOutcome run_reported(const W& wl, const core::MachineConfig& cfg,
     return out;
 }
 
-/// run_reported under a machine shape.  With `--threads N > 1` the run is
-/// timed twice — single-threaded reference first, then with N host threads
-/// — and the sharded run's JSON document gains "host_threads" and
-/// "speedup_vs_1thread" fields (the reference run is emitted too, tagged
-/// host_threads 1).  The two runs' cycle counts are cross-checked: sharding
-/// must not change results.
-template <typename W>
-workloads::RunOutcome run_shaped(const W& wl, const core::MachineConfig& base,
-                                 const Shape& shape, bool prefetch) {
-    if (shape.nodes == 0 && shape.threads <= 1) {
-        return run_reported(wl, base, prefetch);
-    }
-    Shape ref = shape;
-    ref.threads = 1;
-    const workloads::RunOutcome one = run_reported(
-        wl, shaped(base, ref), prefetch, "\"host_threads\":1");
-    if (shape.threads <= 1) {
-        return one;
-    }
-    core::MachineConfig run_cfg = shaped(base, shape);
-    run_cfg.collect_events |= bench_events_prefix() != nullptr;
-    workloads::RunOutcome out =
-        workloads::run_workload(wl, run_cfg, prefetch);
-    const std::string& label =
-        prefetch ? wl.prefetch_program().name : wl.program().name;
-    const double speedup =
-        out.host_seconds > 0.0 ? one.host_seconds / out.host_seconds : 0.0;
-    std::fprintf(stderr,
-                 "[bench] %-24s %10llu cycles  %7.3f s host  "
-                 "%10llu fast-forwarded  (%u threads, %.2fx vs 1)\n",
-                 label.c_str(),
-                 static_cast<unsigned long long>(out.result.cycles),
-                 out.host_seconds,
-                 static_cast<unsigned long long>(out.cycles_fast_forwarded),
-                 shape.threads, speedup);
-    if (out.result.cycles != one.result.cycles) {
-        std::fprintf(stderr,
-                     "WARNING: %s: sharded run diverged from the "
-                     "single-threaded reference (%llu vs %llu cycles)\n",
-                     label.c_str(),
-                     static_cast<unsigned long long>(out.result.cycles),
-                     static_cast<unsigned long long>(one.result.cycles));
-    }
-    char extra[96];
-    std::snprintf(extra, sizeof extra,
-                  "\"host_threads\":%u,\"speedup_vs_1thread\":%.3f",
-                  shape.threads, speedup);
-    maybe_emit_json(out.result, label, extra);
-    // The sharded log is byte-identical to the reference run's by design,
-    // so re-writing the same path is harmless.
-    maybe_emit_events(out.result, run_cfg, label);
-    return out;
-}
-
 /// A run that may legitimately deadlock (frame-starvation ablations).
 struct MaybeRun {
     std::optional<workloads::RunOutcome> outcome;
@@ -253,7 +221,7 @@ int guarded_main(Fn&& body, const char* argv0) {
         std::fprintf(stderr, "%s: error: %s\n", argv0, e.what());
         std::fprintf(stderr,
                      "hint: check the workload/machine parameters "
-                     "(--iterations, --nodes, --threads)\n");
+                     "(--iterations, --nodes)\n");
         return 1;
     } catch (const sim::CheckError& e) {
         std::fprintf(stderr,

@@ -3,13 +3,9 @@
 ///        on CellDTA with eight SPUs and memory latency 150, (a) without
 ///        and (b) with prefetching, for bitcnt(10000), mmul(32), zoom(32).
 ///
-/// Usage: fig5_breakdown [--iterations N] [--nodes N] [--threads N]
+/// Usage: fig5_breakdown [--iterations N] [--nodes N]
 ///   --iterations   bitcnt iterations (default 10000, the paper's)
 ///   --nodes        spread the 8 PEs over N nodes (default: single node)
-///   --threads      host threads for the sharded run loop; with N > 1 each
-///                  run is timed against the single-threaded reference and
-///                  the DTA_BENCH_JSON documents gain host_threads and
-///                  speedup_vs_1thread fields
 
 #include <cstdio>
 
@@ -36,8 +32,8 @@ constexpr PaperRow kPaper[] = {
 }  // namespace
 
 int bench_main(int argc, char** argv) {
-    const std::uint32_t iters = arg_u32(argc, argv, "--iterations", 10000);
-    const Shape shape = shape_from_args(argc, argv);
+    const Args args = parse_args(argc, argv, kIterations | kNodes, 10000);
+    const std::uint32_t iters = args.iterations;
     banner("FIG5", "SPU execution-time breakdown, 8 SPEs, latency 150");
 
     const workloads::BitCount bc(bitcnt_params(iters));
@@ -52,8 +48,8 @@ int bench_main(int argc, char** argv) {
 
     const auto run_both = [&](const auto& wl, const core::MachineConfig& cfg,
                               const char* name, int idx) {
-        const auto orig = bench::run_shaped(wl, cfg, shape, false);
-        const auto pf = bench::run_shaped(wl, cfg, shape, true);
+        const auto orig = bench::run_reported(wl, shaped(cfg, args.nodes), false);
+        const auto pf = bench::run_reported(wl, shaped(cfg, args.nodes), true);
         if (!orig.correct || !pf.correct) {
             std::fprintf(stderr, "%s: INCORRECT RESULT\n", name);
         }

@@ -4,7 +4,7 @@
 ///        prefetching.  The thread count follows the paper's power-of-two
 ///        sizing per configuration.
 ///
-/// Usage: fig7_mmul
+/// Usage: fig7_mmul [--nodes N]
 
 #include <cstdio>
 
@@ -14,19 +14,19 @@ using namespace dta;
 using namespace dta::bench;
 
 int bench_main(int argc, char** argv) {
-    const Shape shape = shape_from_args(argc, argv);
+    const Args args = parse_args(argc, argv, kNodes);
     banner("FIG7", "mmul(32) execution time & scalability, latency 150");
 
     std::vector<stats::SeriesPoint> pts;
     for (std::uint16_t spes : {1, 2, 4, 8}) {
         const workloads::MatMul wl(mmul_params(spes));
         const auto cfg = workloads::MatMul::machine_config(spes);
-        Shape pt = shape;  // --nodes applies only where it divides the PEs
-        if (pt.nodes != 0 && spes % pt.nodes != 0) {
-            pt.nodes = 0;
-        }
-        const auto orig = bench::run_shaped(wl, cfg, pt, false);
-        const auto pf = bench::run_shaped(wl, cfg, pt, true);
+        // --nodes applies only where it divides the PEs.
+        const bool fits = args.nodes != 0 && spes % args.nodes == 0;
+        const core::MachineConfig run_cfg =
+            shaped(cfg, fits ? args.nodes : 0);
+        const auto orig = bench::run_reported(wl, run_cfg, false);
+        const auto pf = bench::run_reported(wl, run_cfg, true);
         if (!orig.correct || !pf.correct) {
             std::fprintf(stderr, "mmul@%u SPEs: INCORRECT RESULT\n", spes);
         }

@@ -4,7 +4,7 @@
 ///        fraction of SPU cycles with at least one instruction issued; the
 ///        2-wide slot utilisation is printed alongside.
 ///
-/// Usage: fig9_pipeline_usage [--iterations N]
+/// Usage: fig9_pipeline_usage [--iterations N] [--nodes N]
 
 #include <cstdio>
 
@@ -14,8 +14,8 @@ using namespace dta;
 using namespace dta::bench;
 
 int bench_main(int argc, char** argv) {
-    const std::uint32_t iters = arg_u32(argc, argv, "--iterations", 10000);
-    const Shape shape = shape_from_args(argc, argv);
+    const Args args = parse_args(argc, argv, kIterations | kNodes, 10000);
+    const std::uint32_t iters = args.iterations;
     banner("FIG9", "pipeline usage with and without prefetching");
 
     const workloads::BitCount bc(bitcnt_params(iters));
@@ -25,8 +25,8 @@ int bench_main(int argc, char** argv) {
     std::vector<stats::UsageRow> rows;
     const auto add = [&](const auto& wl, const core::MachineConfig& cfg,
                          const char* name) {
-        const auto orig = bench::run_shaped(wl, cfg, shape, false);
-        const auto pf = bench::run_shaped(wl, cfg, shape, true);
+        const auto orig = bench::run_reported(wl, shaped(cfg, args.nodes), false);
+        const auto pf = bench::run_reported(wl, shaped(cfg, args.nodes), true);
         rows.push_back({name, orig.result.pipeline_usage(),
                         pf.result.pipeline_usage()});
         std::printf("%-8s slot utilisation: %s -> %s\n", name,

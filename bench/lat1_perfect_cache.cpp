@@ -4,7 +4,7 @@
 ///        — and the prefetch speedups re-measured.  Paper: 1.01x for mmul,
 ///        1.34x for zoom, and a slowdown for bitcnt (overhead 34 %).
 ///
-/// Usage: lat1_perfect_cache [--iterations N]
+/// Usage: lat1_perfect_cache [--iterations N] [--nodes N]
 
 #include <cstdio>
 
@@ -14,8 +14,8 @@ using namespace dta;
 using namespace dta::bench;
 
 int bench_main(int argc, char** argv) {
-    const std::uint32_t iters = arg_u32(argc, argv, "--iterations", 10000);
-    const Shape shape = shape_from_args(argc, argv);
+    const Args args = parse_args(argc, argv, kIterations | kNodes, 10000);
+    const std::uint32_t iters = args.iterations;
     banner("LAT1", "all memory latencies = 1 (perfect-cache extreme)");
 
     const auto cfg_for = [](const sched::LseConfig& lse) {
@@ -28,8 +28,8 @@ int bench_main(int argc, char** argv) {
     std::vector<stats::BreakdownRow> rows;
     const auto go = [&](const auto& wl, const core::MachineConfig& cfg,
                         const char* name, int idx) {
-        const auto orig = bench::run_shaped(wl, cfg, shape, false);
-        const auto pf = bench::run_shaped(wl, cfg, shape, true);
+        const auto orig = bench::run_reported(wl, shaped(cfg, args.nodes), false);
+        const auto pf = bench::run_reported(wl, shaped(cfg, args.nodes), true);
         measured[idx] = static_cast<double>(orig.result.cycles) /
                         static_cast<double>(pf.result.cycles);
         std::printf("%-8s latency-1: %10llu vs %10llu cycles  (usage %s -> %s)\n",

@@ -3,7 +3,7 @@
 ///        LOAD/STORE, main-memory READ/WRITE) of all three benchmarks, plus
 ///        the prefetch-variant columns.
 ///
-/// Usage: table5_instructions [--iterations N]
+/// Usage: table5_instructions [--iterations N] [--nodes N]
 
 #include <cstdio>
 
@@ -27,8 +27,8 @@ constexpr PaperRow kPaper[] = {
 }  // namespace
 
 int bench_main(int argc, char** argv) {
-    const std::uint32_t iters = arg_u32(argc, argv, "--iterations", 10000);
-    const Shape shape = shape_from_args(argc, argv);
+    const Args args = parse_args(argc, argv, kIterations | kNodes, 10000);
+    const std::uint32_t iters = args.iterations;
     banner("TAB5", "dynamic instruction counts, 8 SPEs");
 
     const workloads::BitCount bc(bitcnt_params(iters));
@@ -38,8 +38,8 @@ int bench_main(int argc, char** argv) {
     std::vector<stats::InstrRow> rows;
     const auto add = [&](const auto& wl, const core::MachineConfig& cfg,
                          const std::string& name) {
-        const auto orig = bench::run_shaped(wl, cfg, shape, false);
-        const auto pf = bench::run_shaped(wl, cfg, shape, true);
+        const auto orig = bench::run_reported(wl, shaped(cfg, args.nodes), false);
+        const auto pf = bench::run_reported(wl, shaped(cfg, args.nodes), true);
         rows.push_back({name, orig.result.total_instrs()});
         rows.push_back({name + "+pf", pf.result.total_instrs()});
     };

@@ -102,31 +102,21 @@ struct MachineConfig {
     /// a snapshot may be replayed with telemetry turned on.
     sim::TelemetryConfig telemetry;
     /// Host-time profiler (sim/prof.hpp): attribute host nanoseconds per
-    /// (shard, component, phase) into RunResult::host_profile.  Off by
+    /// (component, phase) of the wheel run loop into
+    /// RunResult::host_profile (the dense oracle is not profiled).  Off by
     /// default; when off every instrumentation site costs one null check.
     /// Profiling only reads the host clock — simulated results, fingerprints
     /// and the rest of RunResult are byte-identical either way.
     bool profile = false;
-    /// Jump over cycles in which no component can change state (see
-    /// sim::Component::next_activity).  Results are cycle-exact either way;
-    /// this only trades host time.  The DTA_NO_FASTFORWARD environment
-    /// variable force-disables it (escape hatch for A/B debugging).
-    bool fast_forward = true;
     /// Drive the run loop from the event-driven timing wheel (sim/wheel.hpp):
     /// each component is visited only at its declared next_activity() cycle,
     /// with inbound traffic re-arming sleepers.  Results are byte-identical
-    /// either way; off falls back to the dense per-cycle loop (the
-    /// differential oracle for tests and fuzzing).  The DTA_NO_WHEEL
-    /// environment variable force-disables it, mirroring DTA_NO_FASTFORWARD.
+    /// either way; off selects the dense oracle that ticks every component
+    /// on every cycle (the differential reference for tests and fuzzing).
     bool use_wheel = true;
-    /// Host threads for the sharded run loop: each node (DSE, PEs, MFCs,
-    /// local stores, router) is a shard, and shards are distributed over
-    /// this many threads synchronised by an epoch barrier whose lookahead
-    /// is the inter-node link latency (see docs/ARCHITECTURE.md).  0 means
-    /// auto (hardware_concurrency); the effective count is capped at the
-    /// node count.  1 (the default) runs the single-threaded reference
-    /// loop.  RunResult, breakdown buckets, and the JSON report are
-    /// bit-identical for every value.
+    /// Host threads per run.  The simulator runs on exactly one; any other
+    /// value is rejected at construction.  Host parallelism comes from
+    /// running independent jobs side by side (the dta_serve worker pool).
     std::uint32_t host_threads = 1;
 
     [[nodiscard]] std::uint32_t total_pes() const {

@@ -184,10 +184,10 @@ std::string chrome_trace_json(const std::vector<ThreadSpan>& spans,
         ++flow_id;
     }
 
-    // Host-side tracks: per (shard, phase), the host nanoseconds burnt in
-    // each gauge-sampling interval, plotted against simulated time.  The
+    // Host-side tracks: per (row group, phase), the host nanoseconds burnt
+    // in each gauge-sampling interval, plotted against simulated time.  The
     // snapshots carry cumulative totals, so each point is a delta from the
-    // previous one; phases a shard never touched are skipped entirely.
+    // previous one; phases a group never touched are skipped entirely.
     if (host.enabled) {
         for (const sim::HostProfileShard& s : host.shards) {
             for (std::size_t p = 0; p < sim::kNumProfPhases; ++p) {
@@ -207,38 +207,26 @@ std::string chrome_trace_json(const std::vector<ThreadSpan>& spans,
             }
         }
     }
-    // Event-driven scheduler tracks: per shard, the armed-component count
-    // (an occupancy gauge) plus pop and insert *rates* over each sampling
+    // Event-driven scheduler tracks: the armed-component count (an
+    // occupancy gauge) plus pop and insert *rates* over each sampling
     // interval (the samples carry cumulative totals, so each point is a
-    // delta from the shard's previous one).  Samples arrive merged and
-    // sorted by (cycle, shard), so per-shard deltas need a cursor per
-    // shard; runs without the wheel (or without metrics) add nothing.
-    if (wheel.enabled && !wheel.samples.empty()) {
-        std::uint32_t max_shard = 0;
-        for (const sim::WheelStats::Sample& s : wheel.samples) {
-            max_shard = s.shard > max_shard ? s.shard : max_shard;
-        }
-        struct Prev {
-            std::uint64_t pops = 0;
-            std::uint64_t inserts = 0;
+    // delta from the previous one); runs without the wheel (or without
+    // metrics) add nothing.
+    if (wheel.enabled) {
+        const auto counter = [&w](const char* name, sim::Cycle ts,
+                                  std::uint64_t value) {
+            w.next() << R"(  {"name": "wheel/)" << name
+                     << R"(", "cat": "wheel", "ph": "C", "ts": )" << ts
+                     << R"(, "pid": 4, "args": {"value": )" << value << "}}";
         };
-        std::vector<Prev> prev(max_shard + 1);
+        std::uint64_t prev_pops = 0;
+        std::uint64_t prev_inserts = 0;
         for (const sim::WheelStats::Sample& s : wheel.samples) {
-            Prev& p = prev[s.shard];
-            w.next() << R"(  {"name": "shard)" << s.shard
-                     << R"(/armed", "cat": "wheel", "ph": "C", "ts": )"
-                     << s.cycle << R"(, "pid": 4, "args": {"value": )"
-                     << s.occupancy << "}}";
-            w.next() << R"(  {"name": "shard)" << s.shard
-                     << R"(/pops", "cat": "wheel", "ph": "C", "ts": )"
-                     << s.cycle << R"(, "pid": 4, "args": {"value": )"
-                     << s.pops - p.pops << "}}";
-            w.next() << R"(  {"name": "shard)" << s.shard
-                     << R"(/inserts", "cat": "wheel", "ph": "C", "ts": )"
-                     << s.cycle << R"(, "pid": 4, "args": {"value": )"
-                     << s.inserts - p.inserts << "}}";
-            p.pops = s.pops;
-            p.inserts = s.inserts;
+            counter("armed", s.cycle, s.occupancy);
+            counter("pops", s.cycle, s.pops - prev_pops);
+            counter("inserts", s.cycle, s.inserts - prev_inserts);
+            prev_pops = s.pops;
+            prev_inserts = s.inserts;
         }
     }
     // Live-telemetry tracks: machine-wide occupancy and queue-depth gauges

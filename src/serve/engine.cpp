@@ -177,8 +177,7 @@ std::vector<std::string> Engine::run_batch(const JsonValue& doc) {
         Slot& s = slots[i];
         s.job.id = "job" + std::to_string(i);
         std::string err;
-        if (!prepare_job(jobs->items()[i], cfg_.default_threads, s.job,
-                         err)) {
+        if (!prepare_job(jobs->items()[i], s.job, err)) {
             s.error = err;
             continue;
         }

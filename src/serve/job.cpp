@@ -25,13 +25,12 @@ using stats::JsonValue;
 constexpr const char* kKnownKeys[] = {
     "id",           "workload",        "scale",
     "prefetch",     "spes",            "nodes",
-    "threads",      "mem_latency",     "frames",
-    "staging",      "vfp",             "perfect_cache",
-    "max_cycles",   "n",               "factor",
-    "wthreads",     "unroll",          "iterations",
-    "seed",         "program_text",    "program_file",
-    "args",         "snapshot",        "checkpoint_every",
-    "checkpoint_prefix",
+    "mem_latency",  "frames",          "staging",
+    "vfp",          "perfect_cache",   "max_cycles",
+    "n",            "factor",          "wthreads",
+    "unroll",       "iterations",      "seed",
+    "program_text", "program_file",    "args",
+    "snapshot",     "checkpoint_every", "checkpoint_prefix",
 };
 
 bool known_key(const std::string& k) {
@@ -102,7 +101,6 @@ bool get_string(const JsonValue& spec, const char* key, std::string& out,
 struct Overrides {
     std::uint16_t spes = 8;
     std::uint16_t nodes = 0;        // 0 = factory default
-    std::uint32_t threads;          // host threads; seeded by caller
     std::uint32_t mem_latency = 0;  // 0 = factory default
     std::uint32_t frames = 0;
     std::uint32_t staging = 0;
@@ -116,7 +114,6 @@ bool parse_overrides(const JsonValue& spec, Overrides& o,
                      std::string& error) {
     if (!get_uint(spec, "spes", o.spes, error, 1) ||
         !get_uint(spec, "nodes", o.nodes, error, 1) ||
-        !get_uint(spec, "threads", o.threads, error, 0, 4096) ||
         !get_uint(spec, "mem_latency", o.mem_latency, error, 1) ||
         !get_uint(spec, "frames", o.frames, error, 1) ||
         !get_uint(spec, "staging", o.staging, error, 1) ||
@@ -132,7 +129,6 @@ void apply_overrides(core::MachineConfig& cfg, const Overrides& o) {
     if (o.nodes != 0) {
         cfg.nodes = o.nodes;
     }
-    cfg.host_threads = o.threads;
     if (o.mem_latency != 0) {
         cfg.memory.latency = o.mem_latency;
     }
@@ -172,8 +168,8 @@ void bind_workload(PreparedJob& out, typename W::Params p, bool prefetch,
 }
 
 /// The cache key: a format tag, the structural machine+program
-/// fingerprint with the shard count pinned to 1, and everything that
-/// shapes the memory image or entry arguments.
+/// fingerprint, and everything that shapes the memory image or entry
+/// arguments.
 std::uint64_t job_key(const core::MachineConfig& cfg,
                       const isa::Program& prog, const std::string& workload,
                       bool prefetch, std::uint64_t p0, std::uint64_t p1,
@@ -181,7 +177,7 @@ std::uint64_t job_key(const core::MachineConfig& cfg,
                       const std::vector<std::uint64_t>& args) {
     sim::StateSink s;
     s.str("dta-serve-key-v1");
-    s.u64(core::structural_fingerprint(cfg, /*shard_count=*/1, prog));
+    s.u64(core::structural_fingerprint(cfg, prog));
     s.str(workload);
     s.flag(prefetch);
     s.u64(p0);
@@ -198,8 +194,8 @@ std::uint64_t job_key(const core::MachineConfig& cfg,
 
 }  // namespace
 
-bool prepare_job(const JsonValue& spec, std::uint32_t default_threads,
-                 PreparedJob& out, std::string& error) {
+bool prepare_job(const JsonValue& spec, PreparedJob& out,
+                 std::string& error) {
     if (!spec.is_object()) {
         error = "job must be a JSON object";
         return false;
@@ -236,7 +232,6 @@ bool prepare_job(const JsonValue& spec, std::uint32_t default_threads,
     const bool paper = scale == "paper";
 
     Overrides o;
-    o.threads = default_threads;
     if (!parse_overrides(spec, o, error)) {
         return false;
     }

@@ -17,9 +17,9 @@
 /// waiting on an in-flight request (a DMA line crossing the NoC, a read
 /// queued at the memory controller) reports `kIdleForever`, because the
 /// component currently *carrying* that request reports a finite horizon.
-/// The machine takes the minimum across all registered components, so the
-/// carrier bounds the global jump. A component must be conservative in two
-/// situations:
+/// The carrier's horizon bounds every skip until it hands the request on,
+/// and the hand-off wakes the receiver. A component must be conservative
+/// in two situations:
 ///
 ///  1. Any non-empty queue it drains on a best-effort basis each tick
 ///     (an outbox waiting for fabric credit, a port it retries) forces a
@@ -41,7 +41,7 @@
 /// re-armed at exactly `next_activity(now)` and is not visited before then.
 /// The "assuming no new input" escape hatch is closed by wakes: every queue
 /// a component drains carries a `Waker` binding (Port<T>::set_waker, or the
-/// equivalent hook on the fabric and the cross-shard channels), so the
+/// equivalent hook on the fabric), so the
 /// moment a producer pushes, the sleeping consumer is re-armed — at the
 /// current cycle if the dense tick order would still reach it this cycle
 /// (producer index below consumer index in the scheduler list), else at the
@@ -57,8 +57,7 @@
 ///     re-arm lands it at cycle `h`, the wheel first calls
 ///     `skip(acct, h)` for the slept span and only then `tick(h)`. skip()
 ///     must therefore be safe mid-run on *any* quiescent-between-events
-///     state, not only the globally-frozen states the dense fast-forward
-///     produces.
+///     state, not only globally-frozen ones.
 ///
 /// ## The serialization contract (checkpoint/restore)
 ///

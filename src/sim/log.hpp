@@ -7,7 +7,6 @@
 #pragma once
 
 #include <functional>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -41,10 +40,7 @@ public:
         return static_cast<int>(level) <= static_cast<int>(level_);
     }
 
-    /// Emits one line: "[cycle] component: message".  Serialised: shards of
-    /// a multi-threaded run share one Logger, so concurrent emits must not
-    /// interleave inside the sink (line order across shards is host-timing
-    /// dependent either way; simulated results never are).
+    /// Emits one line: "[cycle] component: message".
     void log(LogLevel level, Cycle cycle, std::string_view component,
              std::string_view message) const {
         if (!enabled(level) || !sink_) {
@@ -52,14 +48,12 @@ public:
         }
         std::ostringstream os;
         os << '[' << cycle << "] " << component << ": " << message;
-        const std::lock_guard<std::mutex> lock(mu_);
         sink_(os.str());
     }
 
 private:
     LogLevel level_ = LogLevel::kOff;
     Sink sink_;
-    mutable std::mutex mu_;
 };
 
 }  // namespace dta::sim

@@ -11,9 +11,6 @@ const char* prof_phase_name(ProfPhase p) {
         case ProfPhase::kNextActivity: return "next_activity";
         case ProfPhase::kQuiescence: return "quiescence";
         case ProfPhase::kFastforwardScan: return "fastforward_scan";
-        case ProfPhase::kBarrierWait: return "barrier_wait";
-        case ProfPhase::kChannelSerialize: return "channel_serialize";
-        case ProfPhase::kChannelDrain: return "channel_drain";
         case ProfPhase::kAudit: return "audit";
         case ProfPhase::kSample: return "sample";
         case ProfPhase::kWheelPop: return "wheel_pop";
@@ -148,7 +145,7 @@ void merge_prof_buffer(HostProfile& out, std::uint32_t shard,
             }
             HostProfileEntry e;
             e.shard = shard;
-            e.component = r == ProfBuffer::kShardSlot
+            e.component = r == ProfBuffer::kLoopSlot
                               ? "-"
                               : component_names[r - 1];
             e.phase = static_cast<ProfPhase>(p);

@@ -3,25 +3,24 @@
 ///
 /// PR 1/4 made the simulated machine observable; this layer does the same
 /// for the simulator itself.  Host nanoseconds are attributed per
-/// (shard, component, phase) — which shard spent how long ticking pe3,
-/// scanning horizons, waiting at the epoch barrier, serialising cross-shard
-/// packets — exactly the data an event-driven scheduler core or a sweep
-/// scheduler needs before it can be designed or validated.
+/// (component, phase) — how long ticking pe3 took, how long the wheel spent
+/// popping, re-arming and scanning horizons — exactly the data a scheduler
+/// core needs before it can be designed or validated.
 ///
 /// Design rules, in priority order:
 ///  1. **Off is free.**  Every instrumentation site is guarded by one null
-///     check on a shard-local ProfBuffer pointer; no clock is read.
+///     check on a ProfBuffer pointer; no clock is read.
 ///  2. **On is neutral.**  Profiling only reads the host clock; it never
 ///     touches simulated state, so RunResult (minus its host_profile
 ///     section) is byte-identical with profiling on or off.
-///  3. **Exclusive attribution.**  Scopes nest (a Link serialising into a
-///     cross-shard channel inside its own tick); a child's time is
-///     subtracted from its enclosing scope so phase totals add up — per
-///     shard they sum to the shard's measured wall clock minus loop
-///     control, which the coverage figure reports honestly.
+///  3. **Exclusive attribution.**  Scopes nest (a wake-path wheel insert
+///     inside a producer's tick); a child's time is subtracted from its
+///     enclosing scope so phase totals add up — they sum to the run loop's
+///     measured wall clock minus loop control, which the coverage figure
+///     reports honestly.
 ///
-/// Buffers are strictly shard-local (each host thread writes only its own)
-/// and merged deterministically after the join, like PR 3's metrics.
+/// The merged HostProfile groups rows under named "shards" (the report
+/// schema); a Machine run fills exactly one, "shard0".
 #pragma once
 
 #include <array>
@@ -35,15 +34,12 @@
 namespace dta::sim {
 
 /// Where a host nanosecond was spent.  kTick is attributed per component;
-/// the rest describe the run loop itself and land on the shard row.
+/// the rest describe the run loop itself and land on the loop row.
 enum class ProfPhase : std::uint8_t {
     kTick,              ///< inside a Component::tick call
-    kNextActivity,      ///< the idle-horizon scan across components
+    kNextActivity,      ///< next due cycle, progress checks, loop tail
     kQuiescence,        ///< the per-cycle quiescence sweep
     kFastforwardScan,   ///< skip() bookkeeping over a fast-forwarded span
-    kBarrierWait,       ///< blocked at the epoch barrier (sharded runs)
-    kChannelSerialize,  ///< publishing packets into cross-shard channels
-    kChannelDrain,      ///< draining inbound cross-shard channels
     kAudit,             ///< invariant audit sweeps
     kSample,            ///< gauge sampling / metrics snapshots
     kWheelPop,          ///< collecting the due set from the timing wheel
@@ -81,12 +77,11 @@ struct ProfSnapshot {
 
 class ProfScope;
 
-/// One shard's (host thread's) accumulation buffer.  Row 0 is the shard
-/// itself (loop phases); row i + 1 is the shard's i-th component.  Strictly
-/// single-threaded: only the owning host thread may touch it mid-run.
+/// A run loop's accumulation buffer.  Row 0 is the loop itself (loop
+/// phases); row i + 1 is the loop's i-th component.  Single-threaded.
 class ProfBuffer {
 public:
-    static constexpr std::uint32_t kShardSlot = 0;
+    static constexpr std::uint32_t kLoopSlot = 0;
 
     ProfBuffer() = default;
     ProfBuffer(const ProfBuffer&) = delete;
@@ -95,7 +90,7 @@ public:
     ProfBuffer& operator=(ProfBuffer&&) = default;
 
     /// Sizes the buffer for \p num_components component rows (plus the
-    /// shard row).  Must be called before any add().
+    /// loop row).  Must be called before any add().
     void reset(std::size_t num_components) {
         rows_.assign(num_components + 1, {});
     }
@@ -108,7 +103,7 @@ public:
     }
 
     /// Time spent in scopes that opened with no enclosing scope (e.g. a
-    /// channel-serialize scope inside a manually-timed component tick).
+    /// wheel-insert scope inside a manually-timed component tick).
     /// The manual timer subtracts it to keep attribution exclusive.
     [[nodiscard]] std::uint64_t take_orphan_child_ns() {
         const std::uint64_t v = orphan_child_ns_;
@@ -194,7 +189,7 @@ private:
 /// One (shard, component, phase) line of the merged profile.
 struct HostProfileEntry {
     std::uint32_t shard = 0;
-    std::string component;  ///< "-" for shard-level (loop) phases
+    std::string component;  ///< "-" for loop-level phases
     ProfPhase phase = ProfPhase::kTick;
     std::uint64_t ns = 0;
     std::uint64_t calls = 0;
@@ -227,7 +222,8 @@ struct HostProfile {
     [[nodiscard]] std::string table(std::size_t top = 30) const;
 };
 
-/// Folds one shard's buffer into the merged profile.  \p component_names
+/// Folds one buffer into the merged profile as row group \p shard named
+/// \p shard_name.  \p component_names
 /// must align with the buffer's component rows (row i + 1 = name i).
 void merge_prof_buffer(HostProfile& out, std::uint32_t shard,
                        const std::string& shard_name, const ProfBuffer& buf,

@@ -7,27 +7,6 @@
 
 namespace dta::sim {
 
-void WheelStats::merge_from(const WheelStats& o, std::uint32_t shard) {
-    enabled = enabled || o.enabled;
-    pops += o.pops;
-    inserts += o.inserts;
-    rearms += o.rearms;
-    wakes += o.wakes;
-    active_cycles += o.active_cycles;
-    dense_cycles += o.dense_cycles;
-    dense_entries += o.dense_entries;
-    peak_occupancy = std::max(peak_occupancy, o.peak_occupancy);
-    for (Sample s : o.samples) {
-        s.shard = shard;
-        samples.push_back(s);
-    }
-    std::stable_sort(samples.begin(), samples.end(),
-                     [](const Sample& a, const Sample& b) {
-                         return a.cycle != b.cycle ? a.cycle < b.cycle
-                                                   : a.shard < b.shard;
-                     });
-}
-
 // ---------------------------------------------------------------------------
 // TimingWheel
 
@@ -265,7 +244,7 @@ void WheelScheduler::wake(std::uint32_t component) {
         return;  // already scheduled at least that early
     }
     ++stats_.wakes;
-    const ProfScope prof(pb_, ProfBuffer::kShardSlot,
+    const ProfScope prof(pb_, ProfBuffer::kLoopSlot,
                          ProfPhase::kWheelInsert);
     if (in_cycle_ && at == now_) {
         if (due_[component] == kIdleForever) {
@@ -277,19 +256,6 @@ void WheelScheduler::wake(std::uint32_t component) {
     } else {
         arm(component, at);
     }
-}
-
-void WheelScheduler::wake_at(std::uint32_t component, Cycle at) {
-    if (dense_) {
-        return;
-    }
-    if (due_[component] <= at) {
-        return;
-    }
-    ++stats_.wakes;
-    const ProfScope prof(pb_, ProfBuffer::kShardSlot,
-                         ProfPhase::kWheelInsert);
-    arm(component, at);
 }
 
 std::uint32_t WheelScheduler::run_cycle(Cycle at, ProfBuffer* pb,
@@ -309,7 +275,7 @@ std::uint32_t WheelScheduler::run_cycle(Cycle at, ProfBuffer* pb,
     }
     if (pb != nullptr) {
         const std::uint64_t t2 = prof_now_ns();
-        pb->add(ProfBuffer::kShardSlot, ProfPhase::kWheelPop,
+        pb->add(ProfBuffer::kLoopSlot, ProfPhase::kWheelPop,
                 t2 - t - pb->take_orphan_child_ns());
         t = t2;
     }
@@ -342,7 +308,7 @@ std::uint32_t WheelScheduler::run_cycle(Cycle at, ProfBuffer* pb,
         }
         if (pb != nullptr) {
             const std::uint64_t t2 = prof_now_ns();
-            pb->add(ProfBuffer::kShardSlot, ProfPhase::kRearm,
+            pb->add(ProfBuffer::kLoopSlot, ProfPhase::kRearm,
                     t2 - t - pb->take_orphan_child_ns());
             t = t2;
         }

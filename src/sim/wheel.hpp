@@ -3,9 +3,8 @@
 ///        per-component scheduling state that turns "tick every component
 ///        every cycle" into "visit each component only when it can act".
 ///
-/// The dense loop (kept alive behind `--no-wheel` / DTA_NO_WHEEL as the
-/// differential oracle) ticks all N components at every cycle and consults
-/// `next_activity()` only when the machine-wide fingerprint freezes.  The
+/// The dense loop (kept behind `--no-wheel` / `cfg.use_wheel = false` as the
+/// differential oracle) ticks all N components at every cycle.  The
 /// wheel inverts that: after every tick a component is *re-armed* at its own
 /// declared horizon and sleeps until then, and inbound traffic re-arms
 /// sleepers through the wake contract (sim/component.hpp).  Results are
@@ -68,16 +67,11 @@ struct WheelStats {
     /// machine's gauge cadence.
     struct Sample {
         Cycle cycle = 0;
-        std::uint32_t shard = 0;
         std::uint64_t occupancy = 0;  ///< components armed (finite due)
         std::uint64_t pops = 0;       ///< cumulative pops at this cycle
         std::uint64_t inserts = 0;    ///< cumulative inserts at this cycle
     };
     std::vector<Sample> samples;
-
-    /// Folds shard \p shard's stats in (counters add; samples concatenate
-    /// and are re-sorted by (cycle, shard) for a deterministic merge).
-    void merge_from(const WheelStats& o, std::uint32_t shard);
 
     /// Average components visited per accounted cycle (the headline ratio:
     /// dense ticking visits N on every cycle).
@@ -145,10 +139,8 @@ private:
     std::size_t l1_count_ = 0;
 };
 
-/// Per-run-loop scheduler: owns the due/accounting cursors for an ordered
-/// component list and drives visits through the wheel.  One instance per
-/// run loop — the single-threaded Machine or one per Shard — so wakes never
-/// cross host threads.
+/// The machine's scheduler: owns the due/accounting cursors for an ordered
+/// component list and drives visits through the wheel.
 class WheelScheduler final : public Waker {
 public:
     /// Binds the scheduler to \p components (the run loop's scheduler list,
@@ -163,10 +155,10 @@ public:
 
     /// No component is armed at any finite cycle: every horizon came back
     /// kIdleForever.  (Not meaningful in dense mode, which visits everyone
-    /// regardless.)  This is exactly the condition under which the dense
-    /// loop's horizon scan declares idle-forever deadlock — checked on
-    /// armed_ rather than the wheel's entry count because lazily-deleted
-    /// ghosts can keep the wheel non-empty after the last live entry died.
+    /// regardless.)  The run loop declares idle-forever deadlock on it —
+    /// checked on armed_ rather than the wheel's entry count because
+    /// lazily-deleted ghosts can keep the wheel non-empty after the last
+    /// live entry died.
     [[nodiscard]] bool idle() const { return armed_ == 0; }
 
     /// Components currently armed at a finite cycle (the live-telemetry
@@ -189,13 +181,9 @@ public:
     std::uint32_t run_cycle(Cycle at, ProfBuffer* pb, std::uint64_t& t);
 
     /// Bulk-accounts [acct_i, to) on every component lagging behind \p to —
-    /// the run loop's final catch-up (and the sharded loop's epoch-end
-    /// catch-up).  After this every component has accounted [0, to).
+    /// the run loop's final catch-up and its checkpoint/stop cuts.  After
+    /// this every component has accounted [0, to).
     void catch_up(Cycle to);
-
-    /// External re-arm at an absolute cycle (inbound cross-shard channel
-    /// entries peeked at run_until entry).  Unlike wake(), never same-cycle.
-    void wake_at(std::uint32_t component, Cycle at);
 
     /// Waker: inbound traffic landed in \p component's queue.  Joins the
     /// current cycle when the dense order still permits it (producer index
@@ -211,7 +199,7 @@ public:
     /// Appends one Perfetto counter-track point (gauge cadence).
     void sample(Cycle now) {
         stats_.samples.push_back(
-            {now, 0, armed_, stats_.pops, stats_.inserts});
+            {now, armed_, stats_.pops, stats_.inserts});
     }
 
 private:

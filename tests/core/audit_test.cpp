@@ -1,5 +1,5 @@
 // Machine-wide invariant auditor: clean programs stay clean at every audit
-// cadence and shard count, audits never change results, injected violations
+// cadence and on multi-node rings, audits never change results, injected violations
 // surface as sim::SimError naming the component, invariant, cycle (and
 // thread uid when given), and the event-tracing wire caps are enforced at
 // configuration time, before any machine state is built.
@@ -68,11 +68,10 @@ TEST(Audit, CleanRunVirtualFramesAndPrefetch) {
     EXPECT_TRUE(gen.check(m.memory(), &why)) << why;
 }
 
-TEST(Audit, CleanRunSharded) {
+TEST(Audit, CleanRunMultiNode) {
     const auto gen = make_gen(14);
     auto cfg = test::tiny_config(2);
     cfg.nodes = 3;
-    cfg.host_threads = 3;
     cfg.audit.enabled = true;
     cfg.audit.interval = 1;
     (void)run_checked(gen, cfg);
@@ -145,23 +144,6 @@ TEST(Audit, InjectedViolationCarriesThreadUid) {
                   std::string::npos)
             << e.what();
     }
-}
-
-TEST(Audit, InjectedViolationSurfacesFromShardedRun) {
-    // Machine-wide checks run after the worker threads join; the error must
-    // still propagate out of run() on the calling thread.
-    const auto gen = make_gen(19);
-    auto cfg = test::tiny_config(2);
-    cfg.nodes = 2;
-    cfg.host_threads = 2;
-    cfg.audit.enabled = true;
-    Machine m(cfg, gen.program());
-    m.auditor().add("custom", [](const sim::AuditCtx& ctx) {
-        ctx.fail("post-join", "fails in the final sweep");
-    });
-    gen.init_memory(m.memory());
-    m.launch(gen.entry_args());
-    EXPECT_THROW((void)m.run(), sim::SimError);
 }
 
 TEST(Audit, EventWireCapEnforcedBeforeConstruction) {

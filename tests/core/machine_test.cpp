@@ -265,6 +265,25 @@ TEST(Machine, DeadlockDetectedWhenFramesExhausted) {
     }
 }
 
+TEST(Machine, HostThreadsOtherThanOneRejected) {
+    // The simulator runs on one host thread; any other request fails at
+    // construction with a single line, before any state is built.
+    for (const std::uint32_t threads : {0u, 2u}) {
+        auto cfg = tiny_config(2);
+        cfg.nodes = 2;
+        cfg.host_threads = threads;
+        try {
+            core::Machine m(cfg, fanout_program(2));
+            FAIL() << "expected sim::SimError for host_threads=" << threads;
+        } catch (const sim::SimError& e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("host_threads must be 1"), std::string::npos)
+                << msg;
+            EXPECT_EQ(msg.find('\n'), std::string::npos) << msg;
+        }
+    }
+}
+
 TEST(Machine, TelemetryWatchdogFlagsInjectedStall) {
     // Same wedged program as above, but with the telemetry watchdog armed
     // at a cadence well inside the no-progress limit: the watchdog must
@@ -286,11 +305,10 @@ TEST(Machine, TelemetryWatchdogFlagsInjectedStall) {
     auto cfg = tiny_config(1);
     cfg.lse = sched::LseConfig::with(4, 512);
     cfg.no_progress_limit = 20'000;
-    // The horizon scan would flag this wedge as idle-forever on the very
-    // first quiet cycle; force the per-cycle loop so the stall persists
-    // long enough for the sampling watchdog to see it — the scenario the
-    // watchdog exists for (stalls the horizon fast-path cannot prove).
-    cfg.fast_forward = false;
+    // The wheel would flag this wedge as idle-forever on the very first
+    // quiet cycle; the dense oracle ticks on, so the stall persists long
+    // enough for the sampling watchdog to see it — the scenario the
+    // watchdog exists for (stalls no horizon can prove).
     cfg.use_wheel = false;
     cfg.telemetry.enabled = true;
     cfg.telemetry.interval = 256;

@@ -332,12 +332,22 @@ TEST(Engine, CachedRerunIsByteIdentical) {
     ASSERT_NE(cached, nullptr);
     EXPECT_TRUE(cached->as_bool());
     EXPECT_EQ(warm[2], cold[2]);
+}
 
-    // Host thread count is result-neutral and must not fragment the cache.
-    auto threads = ask(engine, mmul_job("t4", ",\"threads\":4"));
-    ASSERT_EQ(threads.size(), 3u);
-    ASSERT_TRUE(meta_ok(threads[1]));
-    EXPECT_EQ(threads[2], cold[2]);
+TEST(Engine, ThreadsFieldIsAnUnknownField) {
+    // Host parallelism is the worker pool's business, not a job's: a
+    // "threads" field is refused like any other typo.
+    EngineConfig cfg;
+    cfg.workers = 1;
+    Engine engine(cfg);
+    auto frames = ask(engine, mmul_job("t", ",\"threads\":1"));
+    ASSERT_EQ(frames.size(), 2u);  // header + error meta, no report
+    EXPECT_FALSE(meta_ok(frames[1]));
+    const stats::JsonParseResult meta = stats::parse_json(frames[1]);
+    const stats::JsonValue* error =
+        meta_field(meta, "error", stats::JsonValue::Kind::kString);
+    ASSERT_NE(error, nullptr);
+    EXPECT_EQ(error->as_string(), "unknown job field 'threads'");
 }
 
 TEST(Engine, VerifiedHitMatchesStoredBytes) {

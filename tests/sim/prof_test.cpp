@@ -56,7 +56,7 @@ TEST(ProfScope, NestedChildTimeIsExcludedFromParent) {
     b.reset(2);
     std::uint64_t child_ns = 0;
     {
-        ProfScope outer(&b, ProfBuffer::kShardSlot,
+        ProfScope outer(&b, ProfBuffer::kLoopSlot,
                         ProfPhase::kQuiescence);
         {
             ProfScope inner(&b, 1, tick());
@@ -84,7 +84,7 @@ TEST(ProfScope, TopLevelScopeBecomesOrphanChildTime) {
     ProfBuffer b;
     b.reset(1);
     {
-        ProfScope lone(&b, 1, ProfPhase::kChannelSerialize);
+        ProfScope lone(&b, 1, ProfPhase::kWheelInsert);
         volatile std::uint64_t sink = 0;
         for (int i = 0; i < 100; ++i) {
             sink = sink + prof_now_ns();
@@ -96,7 +96,7 @@ TEST(ProfScope, TopLevelScopeBecomesOrphanChildTime) {
     EXPECT_GT(orphan, 0u);
     EXPECT_GE(orphan,
               b.rows()[1][static_cast<std::size_t>(
-                  ProfPhase::kChannelSerialize)].ns);
+                  ProfPhase::kWheelInsert)].ns);
     EXPECT_EQ(b.take_orphan_child_ns(), 0u);  // take() drains
 }
 
@@ -106,14 +106,14 @@ TEST(ProfBuffer, SnapshotsAreCumulative) {
     b.add(1, tick(), 100);
     b.snapshot(10);
     b.add(1, tick(), 50);
-    b.add(0, ProfPhase::kBarrierWait, 30);
+    b.add(0, ProfPhase::kQuiescence, 30);
     b.snapshot(20);
     ASSERT_EQ(b.snapshots().size(), 2u);
     EXPECT_EQ(b.snapshots()[0].cycle, 10u);
     EXPECT_EQ(b.snapshots()[0].ns[static_cast<std::size_t>(tick())], 100u);
     EXPECT_EQ(b.snapshots()[1].ns[static_cast<std::size_t>(tick())], 150u);
     EXPECT_EQ(b.snapshots()[1].ns[static_cast<std::size_t>(
-                  ProfPhase::kBarrierWait)],
+                  ProfPhase::kQuiescence)],
               30u);
 }
 
@@ -128,14 +128,14 @@ TEST(PhaseNames, AreStableAndDistinct) {
         seen.push_back(name);
     }
     EXPECT_EQ(std::string(prof_phase_name(ProfPhase::kTick)), "tick");
-    EXPECT_EQ(std::string(prof_phase_name(ProfPhase::kBarrierWait)),
-              "barrier_wait");
+    EXPECT_EQ(std::string(prof_phase_name(ProfPhase::kWheelInsert)),
+              "wheel_insert");
 }
 
 TEST(Merge, FoldsRowsSkipsZerosAndComputesCoverage) {
     ProfBuffer b;
     b.reset(2);
-    b.add(ProfBuffer::kShardSlot, ProfPhase::kNextActivity, 200, 4);
+    b.add(ProfBuffer::kLoopSlot, ProfPhase::kNextActivity, 200, 4);
     b.add(1, tick(), 600, 10);
     // Component 2 (row 2) stays all-zero: it must not produce entries.
     b.set_wall_ns(1000);

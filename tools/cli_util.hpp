@@ -1,9 +1,10 @@
 /// \file cli_util.hpp
-/// \brief One shared checked numeric parser for every CLI tool.
+/// \brief One shared checked numeric parser for every CLI tool and bench
+///        main (bench/bench_util.hpp).
 ///
 /// Before this header, every tool parsed flag values with std::atoi /
-/// std::strtoull and no error checking: `--threads foo` silently became 0
-/// (= auto), and `--spes 99999` silently truncated through a uint16_t
+/// std::strtoull and no error checking: `--repeats foo` silently became 0,
+/// and `--spes 99999` silently truncated through a uint16_t
 /// cast to 34463.  Each parser here demands a full-string match (base 10,
 /// or 0x-prefixed hex for the flags that document it), range-checks the
 /// value, and on any violation prints one clean line and exits 2 — the

@@ -8,19 +8,15 @@
 ///   dta_run <program.dta> [options]
 ///     --spes N          SPEs (default 8)
 ///     --nodes N         nodes (default 1)
-///     --threads N       host threads for the sharded run loop (default 1;
-///                       0 = auto, capped at the node count; results are
-///                       bit-identical for every value)
 ///     --mem-latency N   main-memory latency in cycles (default 150)
 ///     --frames N        frame slots per PE (default 16)
 ///     --staging N       DMA staging bytes per frame (default 8192)
 ///     --vfp             enable virtual frame pointers
 ///     --perfect-cache   Section 4.3 variant: 1-cycle memory system
-///     --no-fastforward  tick every cycle (results are identical; slower)
-///     --no-wheel        dense run loop instead of the event-driven
-///                       scheduler (results are byte-identical; the flag —
-///                       or DTA_NO_WHEEL in the environment — exists as the
-///                       differential oracle; see docs/ARCHITECTURE.md)
+///     --no-wheel        dense oracle that ticks every component every
+///                       cycle instead of the event-driven scheduler
+///                       (results are byte-identical; slower; see
+///                       docs/ARCHITECTURE.md)
 ///     --audit[=N]       machine-wide invariant audits every N cycles
 ///                       (default cadence: every cycle in debug builds,
 ///                       every 64th in release; see docs/CORRECTNESS.md)
@@ -30,7 +26,7 @@
 ///     --interp          run the functional interpreter instead
 ///     --profile         print the per-thread-code profile
 ///     --prof            host-time profiler: print the sorted self-time
-///                       table (per shard/component/phase) after the run;
+///                       table (per component/phase) after the run;
 ///                       adds a host_profile section to --metrics and host
 ///                       counter tracks to --trace.  Simulated results are
 ///                       byte-identical with or without it.
@@ -45,7 +41,7 @@
 ///                       (default 1000000, rounded to a multiple of the
 ///                       telemetry cadence when --telemetry is on): cycle,
 ///                       live threads, simulated Mcycles/s with the host
-///                       tick rate and fast-forward share, the telemetry
+///                       tick rate and skipped-cycle share, the telemetry
 ///                       retire rate and busiest component, and (with
 ///                       --max-cycles) an ETA bound
 ///     --telemetry[=N]   live telemetry: sample a machine-wide frame every
@@ -105,14 +101,12 @@ struct Options {
     std::string program_path;
     std::uint16_t spes = 8;
     std::uint16_t nodes = 1;
-    std::uint32_t threads = 1;
     std::uint32_t mem_latency = 150;
     bool mem_latency_set = false;
     std::uint32_t frames = 16;
     std::uint32_t staging = 8192;
     bool vfp = false;
     bool perfect_cache = false;
-    bool no_fastforward = false;
     bool no_wheel = false;
     bool audit = false;
     sim::Cycle audit_interval = 0;  ///< 0 = auto cadence
@@ -141,10 +135,9 @@ struct Options {
 [[noreturn]] void usage(const char* argv0) {
     std::fprintf(stderr,
                  "usage: %s <program.dta> [--spes N] [--nodes N] "
-                 "[--threads N] [--mem-latency N]\n"
+                 "[--mem-latency N]\n"
                  "       [--frames N] [--staging N] [--vfp] "
-                 "[--perfect-cache] [--no-fastforward] [--no-wheel] "
-                 "[--audit[=N]]\n"
+                 "[--perfect-cache] [--no-wheel] [--audit[=N]]\n"
                  "       [--arg V]... [--max-cycles N] [--interp]\n"
                  "       [--profile] [--prof] [--breakdown] [--trace FILE] "
                  "[--metrics FILE]\n"
@@ -178,9 +171,6 @@ Options parse_options(int argc, char** argv) {
         } else if (a == "--nodes") {
             opt.nodes = cli::parse_uint<std::uint16_t>(argv[0], "--nodes",
                                                        next(), 1);
-        } else if (a == "--threads") {
-            opt.threads = cli::parse_uint<std::uint32_t>(argv[0], "--threads",
-                                                         next(), 0, 4096);
         } else if (a == "--mem-latency") {
             opt.mem_latency = cli::parse_uint<std::uint32_t>(
                 argv[0], "--mem-latency", next());
@@ -197,8 +187,6 @@ Options parse_options(int argc, char** argv) {
             opt.vfp = true;
         } else if (a == "--perfect-cache") {
             opt.perfect_cache = true;
-        } else if (a == "--no-fastforward") {
-            opt.no_fastforward = true;
         } else if (a == "--no-wheel") {
             opt.no_wheel = true;
         } else if (a == "--audit") {
@@ -351,9 +339,7 @@ int main(int argc, char** argv) {
         cfg.collect_metrics =
             !opt.metrics_path.empty() || !opt.trace_path.empty();
         cfg.collect_events = !opt.events_path.empty();
-        cfg.fast_forward = !opt.no_fastforward;
         cfg.use_wheel = !opt.no_wheel;
-        cfg.host_threads = opt.threads;
         cfg.audit.enabled = opt.audit;
         cfg.audit.interval = opt.audit_interval;
         cfg.profile = opt.prof;
@@ -398,7 +384,7 @@ int main(int argc, char** argv) {
             // Rates come from deltas between heartbeats (the cumulative
             // average would smear startup over the whole run); the ticked /
             // fast-forwarded split separates honest host throughput from
-            // cycles the horizon scan skipped wholesale.  The ETA counts
+            // cycles the wheel skipped wholesale.  The ETA counts
             // down to max_cycles — an upper bound, so it is only printed
             // when the user set one explicitly.
             struct ProgressState {
@@ -524,16 +510,6 @@ int main(int argc, char** argv) {
                         machine.last_checkpoint_path().c_str(),
                         static_cast<unsigned long long>(
                             machine.last_checkpoint_cycle()));
-        }
-        if (machine.shard_count() > 1) {
-            std::printf("host: %u shards:", machine.shard_count());
-            for (const auto& s : machine.shard_stats()) {
-                std::printf(" %s %llu ticked / %llu fast-forwarded;",
-                            s.name.c_str(),
-                            static_cast<unsigned long long>(s.ticked),
-                            static_cast<unsigned long long>(s.skipped));
-            }
-            std::puts("");
         }
         if (res.wheel.enabled) {
             std::printf(
