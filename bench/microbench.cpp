@@ -199,20 +199,18 @@ void BM_TimingWheelInsertCollect(benchmark::State& state) {
 BENCHMARK(BM_TimingWheelInsertCollect);
 
 /// Fixed-stride dummy: re-arms itself `stride` cycles after every visit,
-/// so the scheduler's full pop -> lazy-skip -> tick -> re-arm path runs at
-/// a steady, deterministic event rate.
+/// so the scheduler's full visit -> lazy-skip -> tick -> re-arm path runs
+/// at a steady, deterministic event rate.
 class StrideComponent final : public sim::Component {
 public:
     StrideComponent(std::string name, sim::Cycle stride)
         : sim::Component(std::move(name)), stride_(stride) {}
-    void tick(sim::Cycle now) override {
+    sim::Cycle tick(sim::Cycle now) override {
         ++ticks_;
         last_ = now;
-    }
-    [[nodiscard]] bool quiescent() const override { return false; }
-    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const override {
         return now + stride_;
     }
+    [[nodiscard]] bool quiescent() const override { return false; }
 
 private:
     sim::Cycle stride_;
@@ -221,8 +219,9 @@ private:
 };
 
 void BM_WheelSchedulerPopRearm(benchmark::State& state) {
-    // 1e6 component visits through the real scheduler: wheel pop, lazy
-    // skip of the slept span, tick, next_activity() re-arm.  Strides are
+    // 1e6 component visits through the real scheduler: visit-set scan,
+    // lazy skip of the slept span, tick, re-arm at the returned horizon
+    // (stride 1 takes the next-cycle lane, longer ones the wheel).  Strides are
     // spread over 1..13 cycles so only a fraction of the 64 components is
     // due per cycle (the partially-idle regime the wheel exists for).
     constexpr std::uint64_t kOps = 1'000'000;
@@ -242,7 +241,7 @@ void BM_WheelSchedulerPopRearm(benchmark::State& state) {
         sim::Cycle now = 0;
         while (pops < kOps) {
             pops += sched.run_cycle(now, nullptr, t);
-            now = sched.next_due(now);
+            now = sched.next_due();
         }
         benchmark::DoNotOptimize(pops);
     }

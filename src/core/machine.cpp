@@ -757,7 +757,7 @@ void Machine::observe_cycle(sim::Cycle now, std::uint64_t& t) {
                         sim::ProfPhase::kAudit);
         }
     }
-    if (progress_interval_ != 0) {
+    if (progress_interval_ != 0 && now >= next_progress_) {
         report_progress(now);
     }
 }
@@ -945,7 +945,7 @@ RunResult Machine::run_wheel() {
         if (quiet) {
             return finish(now);
         }
-        sim::Cycle next = wheel_.next_due(now);
+        sim::Cycle next = wheel_.next_due();
         next = std::min<sim::Cycle>(next, cfg_.max_cycles);
         next = std::min(next, next_cut(now));
         const bool checkpoint = (now & 0xfff) == 0xfff;
@@ -954,7 +954,7 @@ RunResult Machine::run_wheel() {
         if (checkpoint) {
             check_progress(now, fp);
         }
-        if (!wheel_.dense_mode() && wheel_.idle()) {
+        if (wheel_.idle()) {
             // Every horizon came back kIdleForever with the machine still
             // non-quiescent: certain deadlock, which the fingerprint check
             // would only confirm after no_progress_limit cycles.

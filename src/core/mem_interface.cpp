@@ -108,13 +108,14 @@ void MemInterface::drain_responses() {
     }
 }
 
-void MemInterface::tick(sim::Cycle now) {
+sim::Cycle MemInterface::tick(sim::Cycle now) {
     noc::Packet pkt;
     while (rx_.pop(pkt)) {
         decode(std::move(pkt));
     }
     mem_.tick(now);
     drain_responses();
+    return next_activity(now);
 }
 
 bool MemInterface::quiescent() const {

@@ -36,9 +36,10 @@ public:
     /// completions.  Request decode runs before the controller tick, as in
     /// the seed's route-then-tick ordering, so enqueue-to-service timing is
     /// unchanged.
-    void tick(sim::Cycle now) override;
+    sim::Cycle tick(sim::Cycle now) override;
     [[nodiscard]] bool quiescent() const override;
-    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const override;
+    /// The horizon tick() returns.
+    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const;
 
     /// Timed accesses in flight (for tests).
     [[nodiscard]] std::uint64_t outstanding() const {

@@ -30,7 +30,7 @@ bool NodeRouter::inject(noc::EndpointId src, noc::Packet pkt,
     return fabric_.try_inject(src, std::move(pkt), now);
 }
 
-void NodeRouter::tick(sim::Cycle now) {
+sim::Cycle NodeRouter::tick(sim::Cycle now) {
     // (a) packets that arrived over the inbound link
     while (!arrivals_.empty()) {
         if (arrivals_.front().dst_node == node_) {
@@ -110,6 +110,7 @@ void NodeRouter::tick(sim::Cycle now) {
             forward_to_->push(std::move(pkt));
         }
     }
+    return next_activity(now);
 }
 
 bool NodeRouter::quiescent() const {

@@ -54,9 +54,10 @@ public:
         ordinal_ = ordinal;
     }
 
-    void tick(sim::Cycle now) override;
+    sim::Cycle tick(sim::Cycle now) override;
     [[nodiscard]] bool quiescent() const override;
-    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const override;
+    /// The horizon tick() returns.
+    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const;
 
     // --- checkpoint/restore -------------------------------------------------
     /// Serializes the two packet ports; everything else is wiring.

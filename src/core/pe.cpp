@@ -117,7 +117,12 @@ void Pe::pump_outgoing_producers() {
 // Per-cycle phases
 // ---------------------------------------------------------------------------
 
-void Pe::tick_local_store(sim::Cycle now) { ls_.tick(now); }
+sim::Cycle Pe::tick(sim::Cycle now) {
+    tick_local_store(now);
+    tick_units(now);
+    tick_spu(now);
+    return next_activity(now);
+}
 
 void Pe::tick_units(sim::Cycle now) {
     // 1. Decode fabric deliveries.
@@ -156,7 +161,7 @@ void Pe::tick_units(sim::Cycle now) {
     }
 
     // 2. Advance the MFC and deliver its completions to the LSE.
-    mfc_.tick(now);
+    mfc_.step(now);
     dma::MfcCompletion comp;
     while (mfc_.pop_completion(comp)) {
         const auto owner = static_cast<std::uint32_t>(comp.owner);

@@ -56,17 +56,15 @@ public:
     [[nodiscard]] sim::Port<noc::Packet>& outgoing_port() { return outgoing_; }
 
     // ---- component interface ---------------------------------------------
-    /// One full PE cycle: local store, then units, then the SPU pipeline.
-    /// PEs share no intra-cycle state, so fusing the three seed phases
-    /// per-PE is cycle-equivalent to the seed's three machine-wide loops.
-    void tick(sim::Cycle now) override {
-        tick_local_store(now);
-        tick_units(now);
-        tick_spu(now);
-    }
+    /// One full PE cycle: local store, then units, then the SPU pipeline;
+    /// returns the horizon.  PEs share no intra-cycle state, so fusing the
+    /// three seed phases per-PE is cycle-equivalent to the seed's three
+    /// machine-wide loops.
+    sim::Cycle tick(sim::Cycle now) override;
 
-    /// Earliest cycle this PE (SPU + LS + LSE + MFC) could change state.
-    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const override;
+    /// Earliest cycle this PE (SPU + LS + LSE + MFC) could change state:
+    /// the horizon tick() returns.
+    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const;
 
     /// Bulk-applies the per-cycle accounting the seed loop would have
     /// produced for the skipped cycles [from, to): exactly one Breakdown
@@ -76,9 +74,10 @@ public:
     void skip(sim::Cycle from, sim::Cycle to) override;
 
     // ---- per-cycle phases (in tick() order; split for unit tests) --------
-    /// Services the local store's ports.
-    void tick_local_store(sim::Cycle now);
-    /// Decodes inbox packets, advances the MFC and LSE, applies completions.
+    /// Services the local store's ports (nothing when it is empty).
+    void tick_local_store(sim::Cycle now) { ls_.tick(now); }
+    /// Decodes inbox packets, advances the MFC and LSE when they have
+    /// input, applies completions.
     void tick_units(sim::Cycle now);
     /// Advances the SPU pipeline by one cycle (issue + accounting).
     void tick_spu(sim::Cycle now);

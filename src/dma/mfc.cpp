@@ -48,22 +48,6 @@ Mfc::Mfc(const MfcConfig& cfg, mem::LocalStore& ls) : cfg_(cfg), ls_(ls) {
     set_name("mfc");
 }
 
-sim::Cycle Mfc::next_activity(sim::Cycle now) const {
-    // Outputs waiting for the owning PE to drain them: retry next cycle.
-    if (!completions_.empty() || !ready_lines_.empty()) {
-        return now + 1;
-    }
-    if (decoding_) {
-        return decode_done_at_ > now ? decode_done_at_ : now + 1;
-    }
-    if (!queue_.empty()) {
-        return now + 1;  // start_decode would run on the next tick
-    }
-    // Lines in flight (line_table_) and fully-emitted active commands wait
-    // on external data/acks; the carrier's horizon bounds the jump.
-    return sim::kIdleForever;
-}
-
 std::uint32_t Mfc::count_lines(const MfcCommand& cmd,
                                std::uint32_t line_bytes) {
     if (cmd.stride != 0) {
@@ -160,6 +144,7 @@ void Mfc::emit_lines() {
                lines_in_flight_ < cfg_.max_outstanding_lines) {
             const std::uint32_t i = ac.lines_emitted++;
             ++lines_in_flight_;
+            --lines_unemitted_;
             MfcLineRequest line;
             line.line_id = next_line_id_++;
             line.op = ac.cmd.op;
@@ -197,7 +182,7 @@ void Mfc::emit_lines() {
     }
 }
 
-void Mfc::tick(sim::Cycle now) {
+void Mfc::advance(sim::Cycle now) {
     now_ = now;
     // 1. Drain LS responses belonging to the MFC.
     mem::LsResponse resp;
@@ -249,6 +234,7 @@ void Mfc::tick(sim::Cycle now) {
         ac.enqueued_at = decode_cmd_enq_at_;
         ac.lines_total = count_lines(decode_cmd_, cfg_.line_bytes);
         DTA_CHECK(ac.lines_total > 0);
+        lines_unemitted_ += ac.lines_total;
         if (!free_slots_.empty()) {
             const std::size_t slot = free_slots_.front();
             free_slots_.pop_front();
@@ -263,15 +249,6 @@ void Mfc::tick(sim::Cycle now) {
 
     // 4. Emit line requests up to the outstanding limit.
     emit_lines();
-}
-
-bool Mfc::pop_line_request(MfcLineRequest& out) {
-    if (ready_lines_.empty()) {
-        return false;
-    }
-    out = std::move(ready_lines_.front());
-    ready_lines_.pop_front();
-    return true;
 }
 
 void Mfc::deliver_line_data(std::uint64_t line_id,
@@ -305,15 +282,6 @@ void Mfc::ack_put_line(std::uint64_t line_id) {
     ++ac.lines_finished;
     bytes_ += info.bytes;
     finish_if_done(info.active_idx, now_);
-}
-
-bool Mfc::pop_completion(MfcCompletion& out) {
-    if (completions_.empty()) {
-        return false;
-    }
-    out = completions_.front();
-    completions_.pop_front();
-    return true;
 }
 
 void Mfc::audit(const sim::AuditCtx& ctx) const {
@@ -365,11 +333,13 @@ void Mfc::audit(const sim::AuditCtx& ctx) const {
         }
         ++table_lines[info.active_idx];
     }
+    std::uint64_t unemitted = 0;
     for (std::size_t idx = 0; idx < active_.size(); ++idx) {
         const ActiveCommand& ac = active_[idx];
         if (ac.lines_total == 0) {
             continue;  // free slot
         }
+        unemitted += ac.lines_total - ac.lines_emitted;
         if (ac.lines_emitted > ac.lines_total ||
             ac.lines_finished > ac.lines_emitted) {
             ctx.fail("line-accounting",
@@ -386,6 +356,12 @@ void Mfc::audit(const sim::AuditCtx& ctx) const {
                          " lines in the table but its ledger says " +
                          std::to_string(ac.lines_emitted - ac.lines_finished));
         }
+    }
+    if (unemitted != lines_unemitted_) {
+        ctx.fail("line-accounting",
+                 "lines_unemitted says " + std::to_string(lines_unemitted_) +
+                     " but the command ledgers leave " +
+                     std::to_string(unemitted) + " lines to emit");
     }
     // Free-slot list: exactly the completed slots, each once.
     std::size_t completed_slots = 0;
@@ -478,6 +454,12 @@ void Mfc::load_state(sim::StateSource& s) {
         ac.lines_emitted = k.u32();
         ac.lines_finished = k.u32();
     });
+    lines_unemitted_ = 0;
+    for (const ActiveCommand& ac : active_) {
+        if (ac.lines_total != 0) {  // 0 marks a free slot
+            lines_unemitted_ += ac.lines_total - ac.lines_emitted;
+        }
+    }
     sim::load_seq(s, free_slots_,
                   [](sim::StateSource& k, std::size_t& idx) { idx = k.u64(); });
     sim::load_seq(s, ready_lines_,

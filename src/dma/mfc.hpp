@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <deque>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "mem/local_store.hpp"
@@ -104,14 +105,48 @@ public:
     /// Enqueues a command; returns false when the queue is full.
     [[nodiscard]] bool try_enqueue(MfcCommand cmd);
 
-    /// Advances decode, line issue, and LS write-back by one cycle.
-    void tick(sim::Cycle now) override;
+    /// Advances decode, line issue, and LS write-back by one cycle;
+    /// returns the horizon.
+    sim::Cycle tick(sim::Cycle now) override {
+        step(now);
+        return next_activity(now);
+    }
+
+    /// tick() without the horizon, which the owning PE folds in after its
+    /// own drains.  The work runs only when there is input (a command
+    /// queued or decoding, an LS response, or a line waiting for an
+    /// outstanding-line slot); otherwise the cycle just stamps now_ for
+    /// the off-tick calls.
+    void step(sim::Cycle now) {
+        if (decoding_ || !queue_.empty() ||
+            (lines_unemitted_ > 0 &&
+             lines_in_flight_ < cfg_.max_outstanding_lines) ||
+            ls_.has_response(mem::LsClient::kMfc)) {
+            advance(now);
+        } else {
+            now_ = now;
+        }
+    }
 
     /// Horizon: emitted-but-unfetched lines and fresh completions need the
     /// owning PE next cycle; a decode in progress matures at
     /// decode_done_at_; lines in flight wait on external data (reported by
     /// whichever component carries them).
-    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const override;
+    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const {
+        // Outputs waiting for the owning PE to drain them: retry next cycle.
+        if (!completions_.empty() || !ready_lines_.empty()) {
+            return now + 1;
+        }
+        if (decoding_) {
+            return decode_done_at_ > now ? decode_done_at_ : now + 1;
+        }
+        if (!queue_.empty()) {
+            return now + 1;  // start_decode would run on the next tick
+        }
+        // Lines in flight (line_table_) and fully-emitted active commands
+        // wait on external data/acks; the carrier's horizon bounds the jump.
+        return sim::kIdleForever;
+    }
 
     /// Skipped cycles only need the stale-by-one event timestamp updated:
     /// off-tick calls (ack_put_line) observe the previous cycle's now_,
@@ -123,7 +158,14 @@ public:
 
     /// Hands the next issued line request to the caller (who owns NoC
     /// transport); respects the outstanding-line limit.
-    [[nodiscard]] bool pop_line_request(MfcLineRequest& out);
+    [[nodiscard]] bool pop_line_request(MfcLineRequest& out) {
+        if (ready_lines_.empty()) {
+            return false;
+        }
+        out = std::move(ready_lines_.front());
+        ready_lines_.pop_front();
+        return true;
+    }
 
     /// Delivers the data for a previously popped GET line request.
     void deliver_line_data(std::uint64_t line_id,
@@ -133,7 +175,14 @@ public:
     void ack_put_line(std::uint64_t line_id);
 
     /// Pops the next command completion, if any.
-    [[nodiscard]] bool pop_completion(MfcCompletion& out);
+    [[nodiscard]] bool pop_completion(MfcCompletion& out) {
+        if (completions_.empty()) {
+            return false;
+        }
+        out = completions_.front();
+        completions_.pop_front();
+        return true;
+    }
 
     /// True when no command or line is pending anywhere in the engine.
     [[nodiscard]] bool quiescent() const override;
@@ -199,6 +248,8 @@ private:
         std::uint32_t bytes = 0;
     };
 
+    /// One cycle's work, ungated (step() decides whether it runs).
+    void advance(sim::Cycle now);
     void start_decode(sim::Cycle now);
     void emit_lines();
     /// Publishes the completion (and metrics) when every line landed.
@@ -220,6 +271,9 @@ private:
     std::uint64_t next_line_id_ = 1;
     std::vector<std::pair<std::uint64_t, LineInfo>> line_table_;  ///< in-flight
     std::uint32_t lines_in_flight_ = 0;
+    /// Lines of decoded commands not yet emitted; derived from active_
+    /// (recomputed on load, never serialized).
+    std::uint32_t lines_unemitted_ = 0;
     std::deque<MfcCompletion> completions_;
     std::uint64_t commands_completed_ = 0;
     std::uint64_t bytes_ = 0;

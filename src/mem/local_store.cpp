@@ -94,7 +94,7 @@ void LocalStore::enqueue(LsClient client, LsRequest req) {
     queues_[static_cast<std::size_t>(client)].push_back(std::move(req));
 }
 
-void LocalStore::tick(sim::Cycle now) {
+void LocalStore::service(sim::Cycle now) {
     // Retire completed accesses (FIFO service + fixed latency => FIFO done).
     while (!in_flight_.empty() && in_flight_.front().done_at <= now) {
         InFlight fl = std::move(in_flight_.front());
@@ -143,16 +143,6 @@ void LocalStore::tick(sim::Cycle now) {
             }
         }
     }
-}
-
-bool LocalStore::pop_response(LsClient client, LsResponse& out) {
-    auto& q = responses_[static_cast<std::size_t>(client)];
-    if (q.empty()) {
-        return false;
-    }
-    out = std::move(q.front());
-    q.pop_front();
-    return true;
 }
 
 void LocalStore::save_state(sim::StateSink& s) const {

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <deque>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -76,8 +77,28 @@ public:
 
     // --- timed access --------------------------------------------------------
     void enqueue(LsClient client, LsRequest req);
-    void tick(sim::Cycle now);
-    [[nodiscard]] bool pop_response(LsClient client, LsResponse& out);
+    /// Retires finished accesses and services queued requests.  With
+    /// nothing queued or in flight a tick changes nothing, so that test is
+    /// inline and the work out of line.
+    void tick(sim::Cycle now) {
+        if (!in_flight_.empty() || has_queued()) {
+            service(now);
+        }
+    }
+    /// Pops the oldest completed access of \p client; false when none.
+    [[nodiscard]] bool pop_response(LsClient client, LsResponse& out) {
+        auto& q = responses_[static_cast<std::size_t>(client)];
+        if (q.empty()) {
+            return false;
+        }
+        out = std::move(q.front());
+        q.pop_front();
+        return true;
+    }
+    /// True when a completed access of \p client awaits pop_response().
+    [[nodiscard]] bool has_response(LsClient client) const {
+        return !responses_[static_cast<std::size_t>(client)].empty();
+    }
 
     [[nodiscard]] bool quiescent() const;
     [[nodiscard]] const LocalStoreConfig& config() const { return cfg_; }
@@ -86,10 +107,8 @@ public:
     /// top-level component): queued work is serviced every cycle, responses
     /// await the owner's next drain, in-flight accesses retire at done_at.
     [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const {
-        for (const auto& q : queues_) {
-            if (!q.empty()) {
-                return now + 1;
-            }
+        if (has_queued()) {
+            return now + 1;
         }
         for (const auto& q : responses_) {
             if (!q.empty()) {
@@ -123,6 +142,15 @@ private:
     };
 
     void bounds_check(sim::LsAddr addr, std::uint64_t size) const;
+    [[nodiscard]] bool has_queued() const {
+        for (const auto& q : queues_) {
+            if (!q.empty()) {
+                return true;
+            }
+        }
+        return false;
+    }
+    void service(sim::Cycle now);
 
     LocalStoreConfig cfg_;
     std::vector<std::uint8_t> bytes_;

@@ -135,7 +135,7 @@ void MainMemory::enqueue(MemRequest req) {
     peak_queue_ = std::max(peak_queue_, queue_.size());
 }
 
-void MainMemory::tick(sim::Cycle now) {
+sim::Cycle MainMemory::tick(sim::Cycle now) {
     // Retire in-flight requests whose access latency elapsed.  Starts are
     // FIFO with a fixed latency, so completions are FIFO too.
     while (!in_flight_.empty() && in_flight_.front().done_at <= now) {
@@ -160,19 +160,19 @@ void MainMemory::tick(sim::Cycle now) {
     }
 
     // Start new requests if the channel is free.
-    if (now < port_free_at_) {
-        return;
+    if (now >= port_free_at_) {
+        std::uint32_t started = 0;
+        while (!queue_.empty() && started < cfg_.ports) {
+            in_flight_.push_back(
+                InFlight{now + cfg_.latency, std::move(queue_.front())});
+            queue_.pop_front();
+            ++started;
+        }
+        if (started > 0) {
+            port_free_at_ = now + cfg_.bank_busy;
+        }
     }
-    std::uint32_t started = 0;
-    while (!queue_.empty() && started < cfg_.ports) {
-        in_flight_.push_back(
-            InFlight{now + cfg_.latency, std::move(queue_.front())});
-        queue_.pop_front();
-        ++started;
-    }
-    if (started > 0) {
-        port_free_at_ = now + cfg_.bank_busy;
-    }
+    return next_activity(now);
 }
 
 void MainMemory::save_state(sim::StateSink& s) const {

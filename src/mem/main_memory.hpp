@@ -77,8 +77,9 @@ public:
     void enqueue(MemRequest req);
 
     /// Advances one cycle: starts up to `ports` queued requests and retires
-    /// those whose latency elapsed into the response queue.
-    void tick(sim::Cycle now) override;
+    /// those whose latency elapsed into the response queue.  Returns the
+    /// horizon.
+    sim::Cycle tick(sim::Cycle now) override;
 
     /// Drains one completed response, if any.
     [[nodiscard]] bool pop_response(MemResponse& out);
@@ -90,7 +91,7 @@ public:
 
     /// Horizon: completed responses await an external pop; queued requests
     /// start when the port frees; in-flight requests retire at done_at.
-    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const override {
+    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const {
         if (!responses_.empty()) {
             return now + 1;
         }

@@ -1,6 +1,7 @@
 #include "noc/interconnect.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "sim/audit.hpp"
@@ -55,31 +56,29 @@ bool Interconnect::try_inject(EndpointId src, Packet pkt, sim::Cycle now) {
 }
 
 std::size_t Interconnect::pending() const {
-    std::size_t n = in_transit_.size() + inject_pending_;
-    for (const auto& q : inbox_) {
-        n += q.size();
-    }
-    return n;
+    return in_transit_.size() + inject_pending_ + inbox_pending_;
 }
 
-void Interconnect::tick(sim::Cycle now) {
+sim::Cycle Interconnect::tick(sim::Cycle now) {
     if (inject_pending_ == 0 && in_transit_.empty()) {
-        return;  // empty fabric: nothing to mature, nothing to grant
+        // Empty fabric: nothing to mature, nothing to grant.
+        return next_activity(now);
     }
     // 1. Mature in-flight packets into destination inboxes.
-    while (!in_transit_.empty() && in_transit_.top().deliver_at <= now) {
-        // priority_queue::top is const; copy (packets are small except DMA
-        // lines, which are <= 128 bytes).
-        InTransit it = in_transit_.top();
-        in_transit_.pop();
+    while (!in_transit_.empty() && in_transit_.front().deliver_at <= now) {
+        std::pop_heap(in_transit_.begin(), in_transit_.end(),
+                      std::greater<>());
+        Packet& pkt = in_transit_.back().pkt;
         if (pkt_latency_ != nullptr) {
-            pkt_latency_->record(now - it.pkt.enq_at);
+            pkt_latency_->record(now - pkt.enq_at);
         }
-        if (sinks_[it.pkt.dst] != nullptr) {
-            sinks_[it.pkt.dst]->push(std::move(it.pkt));
+        if (sinks_[pkt.dst] != nullptr) {
+            sinks_[pkt.dst]->push(std::move(pkt));
         } else {
-            inbox_[it.pkt.dst].push_back(std::move(it.pkt));
+            inbox_[pkt.dst].push_back(std::move(pkt));
+            ++inbox_pending_;
         }
+        in_transit_.pop_back();
         ++stats_.packets_delivered;
     }
 
@@ -93,8 +92,10 @@ void Interconnect::tick(sim::Cycle now) {
         }
         // Find the next endpoint with pending traffic.
         bool granted = false;
-        for (std::size_t probe = 0; probe < inject_.size(); ++probe) {
-            const std::size_t ep = (rr_next_ + probe) % inject_.size();
+        const std::size_t n = inject_.size();
+        std::size_t ep = rr_next_;
+        for (std::size_t probe = 0; probe < n;
+             ++probe, ep = ep + 1 == n ? 0 : ep + 1) {
             if (inject_[ep].empty()) {
                 continue;
             }
@@ -105,9 +106,11 @@ void Interconnect::tick(sim::Cycle now) {
             bus_free_at_[bus] = now + occupancy;
             stats_.bus_busy_cycles += occupancy;
             stats_.bytes_transferred += pkt.size_bytes;
-            in_transit_.push(InTransit{now + occupancy + cfg_.hop_latency,
-                                       seq_++, std::move(pkt)});
-            rr_next_ = (ep + 1) % inject_.size();
+            in_transit_.push_back(InTransit{
+                now + occupancy + cfg_.hop_latency, seq_++, std::move(pkt)});
+            std::push_heap(in_transit_.begin(), in_transit_.end(),
+                           std::greater<>());
+            rr_next_ = ep + 1 == n ? 0 : ep + 1;
             granted = true;
             break;
         }
@@ -115,6 +118,7 @@ void Interconnect::tick(sim::Cycle now) {
             break;  // nothing pending anywhere; remaining buses stay idle
         }
     }
+    return next_activity(now);
 }
 
 bool Interconnect::pop_delivered(EndpointId dst, Packet& out) {
@@ -125,6 +129,7 @@ bool Interconnect::pop_delivered(EndpointId dst, Packet& out) {
     }
     out = std::move(q.front());
     q.pop_front();
+    --inbox_pending_;
     return true;
 }
 
@@ -144,6 +149,16 @@ void Interconnect::audit(const sim::AuditCtx& ctx) const {
                  "inject_pending says " + std::to_string(inject_pending_) +
                      " but the injection queues hold " +
                      std::to_string(queued) + " packets");
+    }
+    std::size_t undelivered = 0;
+    for (const auto& q : inbox_) {
+        undelivered += q.size();
+    }
+    if (undelivered != inbox_pending_) {
+        ctx.fail("packet-conservation",
+                 "inbox_pending says " + std::to_string(inbox_pending_) +
+                     " but the inboxes hold " + std::to_string(undelivered) +
+                     " packets");
     }
     // Conservation: a packet is counted delivered when it matures into a
     // sink or inbox, so injected must equal delivered plus what is still on
@@ -166,16 +181,20 @@ void Interconnect::save_state(sim::StateSink& s) const {
     for (const sim::Cycle free_at : bus_free_at_) {
         s.u64(free_at);
     }
-    // Drain a copy of the priority queue: entries come out in (deliver_at,
-    // seq) order, which load_state re-pushes verbatim.
-    auto pq = in_transit_;
-    s.u64(pq.size());
-    while (!pq.empty()) {
-        const InTransit& it = pq.top();
-        s.u64(it.deliver_at);
-        s.u64(it.seq);
-        save_packet(s, it.pkt);
-        pq.pop();
+    // Entries go out in (deliver_at, seq) order, independent of the heap's
+    // internal layout; load_state re-pushes them verbatim.
+    std::vector<const InTransit*> order;
+    order.reserve(in_transit_.size());
+    for (const InTransit& it : in_transit_) {
+        order.push_back(&it);
+    }
+    std::sort(order.begin(), order.end(),
+              [](const InTransit* x, const InTransit* y) { return *y > *x; });
+    s.u64(order.size());
+    for (const InTransit* it : order) {
+        s.u64(it->deliver_at);
+        s.u64(it->seq);
+        save_packet(s, it->pkt);
     }
     for (const auto& q : inbox_) {
         sim::save_seq(s, q, save_packet);
@@ -205,10 +224,14 @@ void Interconnect::load_state(sim::StateSource& s) {
         it.deliver_at = s.u64();
         it.seq = s.u64();
         load_packet(s, it.pkt);
-        in_transit_.push(std::move(it));
+        in_transit_.push_back(std::move(it));
+        std::push_heap(in_transit_.begin(), in_transit_.end(),
+                       std::greater<>());
     }
+    inbox_pending_ = 0;
     for (auto& q : inbox_) {
         sim::load_seq(s, q, load_packet);
+        inbox_pending_ += q.size();
     }
     rr_next_ = s.u64();
     seq_ = s.u64();
@@ -220,26 +243,18 @@ void Interconnect::load_state(sim::StateSource& s) {
 }
 
 bool Interconnect::quiescent() const {
-    if (!in_transit_.empty() || inject_pending_ != 0) {
-        return false;
-    }
-    for (const auto& q : inbox_) {
-        if (!q.empty()) return false;
-    }
-    return true;
+    return in_transit_.empty() && inject_pending_ == 0 && inbox_pending_ == 0;
 }
 
 sim::Cycle Interconnect::next_activity(sim::Cycle now) const {
     sim::Cycle h = sim::kIdleForever;
     // Undelivered inbox packets wait on an external pop; conservatively
     // assume the consumer retries next cycle (only unbound endpoints).
-    for (const auto& q : inbox_) {
-        if (!q.empty()) {
-            return now + 1;
-        }
+    if (inbox_pending_ != 0) {
+        return now + 1;
     }
     if (!in_transit_.empty()) {
-        h = std::min(h, std::max(in_transit_.top().deliver_at, now + 1));
+        h = std::min(h, std::max(in_transit_.front().deliver_at, now + 1));
     }
     if (inject_pending_ != 0) {
         sim::Cycle grant = sim::kIdleForever;

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <queue>
 #include <vector>
 
 #include "noc/packet.hpp"
@@ -72,8 +71,8 @@ public:
     void bind_endpoint(EndpointId dst, sim::Port<Packet>* sink);
 
     /// Arbitrates buses and matures in-flight packets into bound sinks
-    /// (or the inboxes of unbound endpoints).
-    void tick(sim::Cycle now) override;
+    /// (or the inboxes of unbound endpoints).  Returns the horizon.
+    sim::Cycle tick(sim::Cycle now) override;
 
     /// Pops the next delivered packet for \p dst, if any (unbound endpoints
     /// only — bound endpoints receive deliveries through their sink port).
@@ -85,7 +84,7 @@ public:
     /// Horizon: matured-but-unfetched inbox packets and pending injections
     /// need a next-cycle retry; otherwise the earliest of the next bus
     /// grant and the next in-flight delivery.
-    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const override;
+    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const;
 
     [[nodiscard]] const InterconnectStats& stats() const { return stats_; }
     [[nodiscard]] const InterconnectConfig& config() const { return cfg_; }
@@ -112,7 +111,7 @@ public:
 
     // --- checkpoint/restore -------------------------------------------------
     /// Serializes queued, on-bus, and delivered-but-unfetched packets plus
-    /// arbitration cursors and statistics.  The priority queue is drained
+    /// arbitration cursors and statistics.  In-transit packets are written
     /// in (deliver_at, seq) order, so the section is canonical.
     void save_state(sim::StateSink& s) const override;
     void load_state(sim::StateSource& s) override;
@@ -133,12 +132,14 @@ private:
     InterconnectConfig cfg_;
     std::vector<std::deque<Packet>> inject_;   ///< per-endpoint injection queues
     std::vector<sim::Cycle> bus_free_at_;      ///< per-bus availability
-    std::priority_queue<InTransit, std::vector<InTransit>, std::greater<>>
-        in_transit_;
+    /// Min-heap on (deliver_at, seq) under std::push_heap/std::pop_heap, so
+    /// a matured packet can be moved out of the back instead of copied.
+    std::vector<InTransit> in_transit_;
     std::vector<std::deque<Packet>> inbox_;    ///< per-endpoint delivered packets
     std::vector<sim::Port<Packet>*> sinks_;    ///< per-endpoint bound consumers
     std::size_t rr_next_ = 0;
     std::size_t inject_pending_ = 0;  ///< total packets across inject_ queues
+    std::size_t inbox_pending_ = 0;   ///< total packets across inbox_ queues
     std::uint64_t seq_ = 0;
     InterconnectStats stats_;
     sim::Histogram* pkt_latency_ = nullptr;  ///< null when metrics are off

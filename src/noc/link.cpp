@@ -20,13 +20,13 @@ bool Link::try_send(Packet pkt) {
     return true;
 }
 
-void Link::tick(sim::Cycle now) {
+sim::Cycle Link::tick(sim::Cycle now) {
     while (!in_transit_.empty() && in_transit_.front().deliver_at <= now) {
         delivered_.push_back(std::move(in_transit_.front().pkt));
         in_transit_.pop_front();
     }
     if (queue_.empty() || wire_free_at_ > now) {
-        return;
+        return next_activity(now);
     }
     Packet pkt = std::move(queue_.front());
     queue_.pop_front();
@@ -38,6 +38,7 @@ void Link::tick(sim::Cycle now) {
     bytes_ += pkt.size_bytes;
     const sim::Cycle deliver_at = now + occupancy + cfg_.latency;
     in_transit_.push_back(InTransit{deliver_at, std::move(pkt)});
+    return next_activity(now);
 }
 
 void Link::save_state(sim::StateSink& s) const {

@@ -37,7 +37,9 @@ public:
     /// Returns false if the sender-side buffer is full.
     [[nodiscard]] bool try_send(Packet pkt);
 
-    void tick(sim::Cycle now) override;
+    /// Matures arrivals and starts the next queued packet when the wire is
+    /// free; returns the horizon.
+    sim::Cycle tick(sim::Cycle now) override;
 
     [[nodiscard]] bool pop_delivered(Packet& out);
     [[nodiscard]] bool quiescent() const override {
@@ -47,7 +49,7 @@ public:
     /// Horizon: delivered packets await an external pop next cycle; the
     /// serialiser starts the next queued packet when the wire frees; an
     /// in-flight packet matures at its deliver_at.
-    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const override {
+    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const {
         if (!delivered_.empty()) {
             return now + 1;
         }

@@ -51,8 +51,8 @@ public:
     [[nodiscard]] sim::Port<noc::Packet>& rx_port() { return rx_; }
 
     /// Drains the rx port: kFallocReq and kFrameFree packets delivered by
-    /// the fabric this cycle are decoded and handled.
-    void tick(sim::Cycle now) override;
+    /// the fabric this cycle are decoded and handled.  Returns the horizon.
+    sim::Cycle tick(sim::Cycle now) override;
 
     /// Handles a kFallocReq (from a local LSE or a remote DSE); \p now
     /// stamps requests that park so their queue wait can be measured.
@@ -85,7 +85,7 @@ public:
 
     /// Horizon: undelivered rx packets and undrained outbox messages need a
     /// next-cycle retry; parked requests wait on an external kFrameFree.
-    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const override {
+    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const {
         return (!rx_.empty() || !outbox_.empty()) ? now + 1
                                                   : sim::kIdleForever;
     }

@@ -272,15 +272,6 @@ void Lse::falloc(std::uint8_t rd, sim::ThreadCodeId code, std::uint32_t sc,
     outbox_.push_back(msg);
 }
 
-bool Lse::pop_falloc_response(FallocDone& out) {
-    if (falloc_done_.empty()) {
-        return false;
-    }
-    out = falloc_done_.front();
-    falloc_done_.pop_front();
-    return true;
-}
-
 void Lse::enqueue_frame_write(std::uint32_t slot, std::uint32_t word_off,
                               std::uint64_t value, std::uint64_t producer,
                               bool replay) {
@@ -481,17 +472,7 @@ void Lse::on_remote_store(sim::FrameHandle h, std::uint32_t word_off,
     ++stats_.remote_stores_in;
 }
 
-bool Lse::pop_outgoing(SchedMsg& out) {
-    if (outbox_.empty()) {
-        return false;
-    }
-    out = outbox_.front();
-    outbox_.pop_front();
-    return true;
-}
-
-void Lse::tick(sim::Cycle now) {
-    now_ = now;
+void Lse::drain_frame_writes() {
     // Frame writes that completed in the LS decrement the SC now.
     mem::LsResponse resp;
     while (ls_.pop_response(mem::LsClient::kLse, resp)) {

@@ -182,7 +182,14 @@ public:
     void falloc(std::uint8_t rd, sim::ThreadCodeId code, std::uint32_t sc,
                 std::uint64_t parent = 0);
     /// Pops a completed FALLOC, if any.
-    [[nodiscard]] bool pop_falloc_response(FallocDone& out);
+    [[nodiscard]] bool pop_falloc_response(FallocDone& out) {
+        if (falloc_done_.empty()) {
+            return false;
+        }
+        out = falloc_done_.front();
+        falloc_done_.pop_front();
+        return true;
+    }
 
     /// STORE to a frame owned by *this* PE (bypasses the NoC).  \p producer
     /// is the storing thread's uid (0 from tests / bootstrap).
@@ -236,7 +243,14 @@ public:
                          std::uint64_t value, std::uint64_t producer = 0);
 
     /// Drains one outgoing scheduler message, if any.
-    [[nodiscard]] bool pop_outgoing(SchedMsg& out);
+    [[nodiscard]] bool pop_outgoing(SchedMsg& out) {
+        if (outbox_.empty()) {
+            return false;
+        }
+        out = outbox_.front();
+        outbox_.pop_front();
+        return true;
+    }
     /// True when no outgoing scheduler message waits for transport.
     [[nodiscard]] bool outgoing_empty() const { return outbox_.empty(); }
     /// True when a completed FALLOC waits for the SPU to apply it (PE
@@ -246,7 +260,14 @@ public:
     }
 
     /// Processes local-store completions (SC decrements) once per cycle.
-    void tick(sim::Cycle now);
+    /// Stamps now_ every cycle (off-tick handlers read it); the drain runs
+    /// out of line only when a frame write has completed.
+    void tick(sim::Cycle now) {
+        now_ = now;
+        if (ls_.has_response(mem::LsClient::kLse)) {
+            drain_frame_writes();
+        }
+    }
 
     /// Fast-forward bookkeeping: off-tick handlers (inbox decode, DMA
     /// completions) stamp events with the *previous* cycle's now_, exactly
@@ -342,6 +363,7 @@ private:
         bool complete = false;  ///< SC reached zero; queued to materialise
     };
 
+    void drain_frame_writes();
     [[nodiscard]] Frame& frame_at(std::uint32_t slot);
     [[nodiscard]] const Frame& frame_at(std::uint32_t slot) const;
     std::uint32_t allocate_slot(sim::ThreadCodeId code, std::uint32_t sc,

@@ -8,10 +8,15 @@
 ///
 /// ## The horizon contract
 ///
-/// `next_activity(now)` is queried right after `tick(now)` and must return
-/// the earliest cycle strictly greater than `now` at which this component's
-/// `tick` could change observable state **assuming it receives no new
-/// input**, or `kIdleForever` if no internally-scheduled event is pending.
+/// `tick(now)` returns the component's *horizon*: the earliest cycle
+/// strictly greater than `now` at which its next `tick` could change
+/// observable state **assuming it receives no new input**, or
+/// `kIdleForever` if no internally-scheduled event is pending.  Returning
+/// it from the tick makes a scheduler visit one virtual call.  Sub-units
+/// driven by an owner (a PE's MFC, a router's link, the memory behind the
+/// memory interface) also expose the same value as a plain
+/// `next_activity(now)` method, which the owner folds into its own horizon
+/// after it has drained the sub-unit's outputs.
 ///
 /// "Assuming no new input" is what makes the contract local: a component
 /// waiting on an in-flight request (a DMA line crossing the NoC, a read
@@ -38,7 +43,8 @@
 ///
 /// The timing-wheel core (sim/wheel.hpp) leans on the horizon contract
 /// *per component* instead of globally: after every tick the component is
-/// re-armed at exactly `next_activity(now)` and is not visited before then.
+/// re-armed at exactly the horizon the tick returned and is not visited
+/// before then.
 /// The "assuming no new input" escape hatch is closed by wakes: every queue
 /// a component drains carries a `Waker` binding (Port<T>::set_waker, or the
 /// equivalent hook on the fabric), so the
@@ -47,7 +53,7 @@
 /// (producer index below consumer index in the scheduler list), else at the
 /// next one. Two consequences for implementers:
 ///
-///  1. `next_activity()` must cover every queue whose *drain* the component
+///  1. The horizon must cover every queue whose *drain* the component
 ///     performs, even queues filled by other components mid-cycle: after
 ///     the wake delivers the first visit, the component's own horizon keeps
 ///     it hot until the queue empties (rule 1 above). A pull-model queue
@@ -105,16 +111,16 @@ class Component {
     Component(Component&&) = default;
     Component& operator=(Component&&) = default;
 
-    /// Advance one cycle. Called at most once per simulated cycle, with
-    /// strictly increasing `now` (skipped cycles are never ticked).
-    virtual void tick(Cycle now) = 0;
+    /// Advance one cycle and return the horizon: the earliest cycle > now
+    /// at which the next tick could change observable state absent new
+    /// input, or kIdleForever if none (see the horizon contract).  Called
+    /// at most once per simulated cycle, with strictly increasing `now`
+    /// (skipped cycles are never ticked); the dense oracle ignores the
+    /// return value.
+    virtual Cycle tick(Cycle now) = 0;
 
     /// True when the component holds no in-flight work at all.
     [[nodiscard]] virtual bool quiescent() const = 0;
-
-    /// Earliest cycle > now at which tick() could change observable state
-    /// absent new input; kIdleForever if none. See the horizon contract.
-    [[nodiscard]] virtual Cycle next_activity(Cycle now) const = 0;
 
     /// Account for cycles [from, to) that will never be ticked. Default:
     /// nothing to do (pure event-driven components need no per-cycle work).

@@ -1,7 +1,7 @@
 #include "sim/wheel.hpp"
 
 #include <algorithm>
-#include <functional>
+#include <bit>
 
 #include "sim/check.hpp"
 
@@ -10,13 +10,9 @@ namespace dta::sim {
 // ---------------------------------------------------------------------------
 // TimingWheel
 
-void TimingWheel::insert(Cycle at, std::uint32_t id) {
-    DTA_CHECK_MSG(at >= pos_, "timing wheel insert in the past");
+void TimingWheel::insert_far(Cycle at, std::uint32_t id) {
     ++entries_;
-    if (page_of(at) == page_of(pos_)) {
-        l0_[at & (kSlots - 1)].push_back(id);
-        ++l0_count_;
-    } else if (epoch_of(at) == epoch_of(pos_)) {
+    if (epoch_of(at) == epoch_of(pos_)) {
         l1_[page_of(at) & (kSlots - 1)].push_back({at, id});
         ++l1_count_;
     } else {
@@ -68,22 +64,9 @@ void TimingWheel::refill_l0_from_l1() {
 }
 
 void TimingWheel::advance(Cycle at) {
-    DTA_CHECK_MSG(at >= pos_, "timing wheel moved backwards");
-    if (page_of(at) == page_of(pos_)) {
-        // Slots jumped over hold only stale ids (the caller never advances
-        // past a live entry); drop them so a later lap of the page ring and
-        // next_due() never see them.
-        for (Cycle c = pos_; c < at && l0_count_ > 0; ++c) {
-            auto& slot = l0_[c & (kSlots - 1)];
-            entries_ -= slot.size();
-            l0_count_ -= slot.size();
-            slot.clear();
-        }
-        pos_ = at;
-        return;
-    }
-    // Entering a new page: anything still in L0 is stale by the same
-    // argument, so the whole level can be dropped before cascading in.
+    // Entering a new page: anything still in L0 is stale (the caller never
+    // advances past a live entry), so the whole level can be dropped
+    // before cascading in.
     for (auto& slot : l0_) {
         entries_ -= slot.size();
         slot.clear();
@@ -126,15 +109,11 @@ void TimingWheel::advance(Cycle at) {
     refill_l0_from_l1();
 }
 
-void TimingWheel::collect(Cycle at, std::vector<std::uint32_t>& out) {
+void TimingWheel::collect_slow(Cycle at, std::vector<std::uint32_t>& out) {
     advance(at);
     auto& slot = l0_[at & (kSlots - 1)];
-    for (const std::uint32_t id : slot) {
-        out.push_back(id);
-    }
-    entries_ -= slot.size();
-    l0_count_ -= slot.size();
-    slot.clear();
+    out.insert(out.end(), slot.begin(), slot.end());
+    drop_slot(at);
 }
 
 Cycle TimingWheel::next_due() const {
@@ -187,37 +166,27 @@ void WheelScheduler::attach(const std::vector<Component*>& components) {
     comps_ = components;
     due_.assign(comps_.size(), kIdleForever);
     acct_.assign(comps_.size(), 0);
-    active_.reserve(comps_.size());
+    cur_.assign((comps_.size() + 63) / 64, 0);
+    next_.assign(cur_.size(), 0);
     scratch_.reserve(comps_.size());
 }
 
 void WheelScheduler::start(Cycle now) {
     DTA_CHECK_MSG(!comps_.empty(), "wheel scheduler started unattached");
     wheel_.reset(now);
+    // Everyone is due at the first cycle: that cycle's next-cycle set.
+    next_at_ = now;
     for (std::uint32_t i = 0; i < comps_.size(); ++i) {
         due_[i] = now;
         acct_[i] = now;
-        wheel_.insert(now, i);
+        set_bit(next_, i);
     }
+    next_any_ = true;
     armed_ = comps_.size();
     stats_.enabled = true;
     stats_.inserts += comps_.size();
     stats_.peak_occupancy = std::max(stats_.peak_occupancy, armed_);
     started_ = true;
-}
-
-void WheelScheduler::heap_push(std::uint32_t i) {
-    active_.push_back(i);
-    std::push_heap(active_.begin(), active_.end(),
-                   std::greater<std::uint32_t>());
-}
-
-std::uint32_t WheelScheduler::heap_pop() {
-    std::pop_heap(active_.begin(), active_.end(),
-                  std::greater<std::uint32_t>());
-    const std::uint32_t i = active_.back();
-    active_.pop_back();
-    return i;
 }
 
 void WheelScheduler::arm(std::uint32_t i, Cycle at) {
@@ -226,33 +195,40 @@ void WheelScheduler::arm(std::uint32_t i, Cycle at) {
         stats_.peak_occupancy = std::max(stats_.peak_occupancy, armed_);
     }
     due_[i] = at;
-    wheel_.insert(at, i);
     ++stats_.inserts;
+    if (at == next_at_) {
+        set_bit(next_, i);
+        next_any_ = true;
+    } else {
+        wheel_.insert(at, i);
+    }
 }
 
 void WheelScheduler::wake(std::uint32_t component) {
-    if (!started_ || dense_) {
-        return;  // pre-run launch() pushes; dense mode visits everyone anyway
+    if (!started_) {
+        return;  // pre-run launch() pushes; start() arms everyone anyway
     }
     // Dense-order rule: while cycle now_ is in flight, a consumer with a
     // higher list index than the producer under the cursor has not been
     // visited yet this cycle — the dense loop would have it observe the push
-    // at now_.  Anyone else sees it at now_ + 1.
-    const Cycle at =
-        (in_cycle_ && component > cursor_) ? now_ : now_ + 1;
+    // at now_.  Anyone else sees it at the next cycle.
+    const bool join = in_cycle_ && component > cursor_;
+    const Cycle at = join ? now_ : next_at_;
     if (due_[component] <= at) {
         return;  // already scheduled at least that early
     }
     ++stats_.wakes;
     const ProfScope prof(pb_, ProfBuffer::kLoopSlot,
                          ProfPhase::kWheelInsert);
-    if (in_cycle_ && at == now_) {
+    if (join) {
+        // The scan has not reached this bit yet.  An entry already in the
+        // wheel turns stale and is filtered when its cycle is scanned.
         if (due_[component] == kIdleForever) {
             ++armed_;
             stats_.peak_occupancy = std::max(stats_.peak_occupancy, armed_);
         }
         due_[component] = at;
-        heap_push(component);
+        set_bit(cur_, component);
     } else {
         arm(component, at);
     }
@@ -260,18 +236,20 @@ void WheelScheduler::wake(std::uint32_t component) {
 
 std::uint32_t WheelScheduler::run_cycle(Cycle at, ProfBuffer* pb,
                                         std::uint64_t& t) {
-    if (dense_) {
-        return run_dense_cycle(at, pb, t);
+    DTA_CHECK_MSG(at >= next_at_, "wheel scheduler ran a cycle twice");
+    if (at == next_at_) {
+        cur_.swap(next_);  // next_ comes back all-zero: the scan drains cur_
+    } else {
+        DTA_CHECK_MSG(!next_any_, "wheel scheduler skipped a due cycle");
     }
+    next_any_ = false;
     now_ = at;
+    next_at_ = at + 1;
     in_cycle_ = true;
     scratch_.clear();
     wheel_.collect(at, scratch_);
     for (const std::uint32_t i : scratch_) {
-        if (due_[i] == at) {
-            heap_push(i);
-        }
-        // due_[i] != at: a stale entry from a wake that re-armed earlier.
+        set_bit(cur_, i);
     }
     if (pb != nullptr) {
         const std::uint64_t t2 = prof_now_ns();
@@ -280,39 +258,44 @@ std::uint32_t WheelScheduler::run_cycle(Cycle at, ProfBuffer* pb,
         t = t2;
     }
     std::uint32_t ticked = 0;
-    while (!active_.empty()) {
-        const std::uint32_t i = heap_pop();
-        if (due_[i] != at) {
-            continue;  // superseded while queued (double wake)
+    // Wakes only ever set bits above the cursor, so re-reading the current
+    // word picks them up in order.
+    for (std::size_t w = 0; w < cur_.size(); ++w) {
+        while (cur_[w] != 0) {
+            const auto i = static_cast<std::uint32_t>(
+                w * 64 + static_cast<std::size_t>(std::countr_zero(cur_[w])));
+            cur_[w] &= cur_[w] - 1;
+            if (due_[i] != at) {
+                continue;  // stale wheel entry: a wake re-armed it earlier
+            }
+            cursor_ = i;
+            Component* const c = comps_[i];
+            if (acct_[i] < at) {
+                c->skip(acct_[i], at);
+            }
+            const Cycle h = c->tick(at);
+            acct_[i] = at + 1;
+            if (pb != nullptr) {
+                const std::uint64_t t2 = prof_now_ns();
+                pb->add(i + 1, ProfPhase::kTick,
+                        t2 - t - pb->take_orphan_child_ns());
+                t = t2;
+            }
+            DTA_CHECK_MSG(h > at, "component horizon not in the future");
+            ++stats_.rearms;
+            --armed_;  // finite due_ consumed by this visit
+            due_[i] = kIdleForever;
+            if (h != kIdleForever) {
+                arm(i, h);
+            }
+            if (pb != nullptr) {
+                const std::uint64_t t2 = prof_now_ns();
+                pb->add(ProfBuffer::kLoopSlot, ProfPhase::kRearm,
+                        t2 - t - pb->take_orphan_child_ns());
+                t = t2;
+            }
+            ++ticked;
         }
-        cursor_ = i;
-        Component* const c = comps_[i];
-        if (acct_[i] < at) {
-            c->skip(acct_[i], at);
-        }
-        c->tick(at);
-        acct_[i] = at + 1;
-        if (pb != nullptr) {
-            const std::uint64_t t2 = prof_now_ns();
-            pb->add(i + 1, ProfPhase::kTick,
-                    t2 - t - pb->take_orphan_child_ns());
-            t = t2;
-        }
-        const Cycle h = c->next_activity(at);
-        DTA_CHECK_MSG(h > at, "component horizon not in the future");
-        ++stats_.rearms;
-        --armed_;  // finite due_ consumed by this visit
-        due_[i] = kIdleForever;
-        if (h != kIdleForever) {
-            arm(i, h);
-        }
-        if (pb != nullptr) {
-            const std::uint64_t t2 = prof_now_ns();
-            pb->add(ProfBuffer::kLoopSlot, ProfPhase::kRearm,
-                    t2 - t - pb->take_orphan_child_ns());
-            t = t2;
-        }
-        ++ticked;
     }
     cursor_ = kNoCursor;
     in_cycle_ = false;
@@ -320,81 +303,7 @@ std::uint32_t WheelScheduler::run_cycle(Cycle at, ProfBuffer* pb,
     if (ticked > 0) {
         ++stats_.active_cycles;
     }
-    // Degradation hysteresis: a machine where most components are due on
-    // consecutive cycles pays more for pop/re-arm than it saves.
-    const bool hot = static_cast<std::size_t>(ticked) * 2 >= comps_.size();
-    if (hot && last_cycle_ != kCycleNever && at == last_cycle_ + 1) {
-        if (++hot_streak_ >= kDenseEnterStreak) {
-            enter_dense(at);
-        }
-    } else {
-        hot_streak_ = hot ? 1 : 0;
-    }
-    last_cycle_ = at;
     return ticked;
-}
-
-std::uint32_t WheelScheduler::run_dense_cycle(Cycle at, ProfBuffer* pb,
-                                              std::uint64_t& t) {
-    for (std::uint32_t i = 0; i < comps_.size(); ++i) {
-        comps_[i]->tick(at);
-        acct_[i] = at + 1;
-        if (pb != nullptr) {
-            const std::uint64_t t2 = prof_now_ns();
-            pb->add(i + 1, ProfPhase::kTick,
-                    t2 - t - pb->take_orphan_child_ns());
-            t = t2;
-        }
-    }
-    ++stats_.dense_cycles;
-    last_cycle_ = at;
-    if ((at - dense_since_) % kDenseExitPeriod == kDenseExitPeriod - 1) {
-        maybe_exit_dense(at);
-    }
-    return static_cast<std::uint32_t>(comps_.size());
-}
-
-void WheelScheduler::enter_dense(Cycle at) {
-    // Cycle `at` is fully processed; bring every sleeper's accounting up to
-    // at + 1 so dense ticking can proceed uniformly from the next cycle.
-    for (std::uint32_t i = 0; i < comps_.size(); ++i) {
-        if (acct_[i] < at + 1) {
-            comps_[i]->skip(acct_[i], at + 1);
-            acct_[i] = at + 1;
-        }
-    }
-    dense_ = true;
-    dense_since_ = at + 1;
-    hot_streak_ = 0;
-    ++stats_.dense_entries;
-}
-
-void WheelScheduler::maybe_exit_dense(Cycle at) {
-    // Exit when well under half the machine wants the very next cycle.
-    // Pending input is covered: a component with queued work reports
-    // now + 1 itself (the horizon contract), so rebuilding purely from
-    // horizons cannot strand a queue.
-    std::size_t busy = 0;
-    for (const Component* c : comps_) {
-        if (c->next_activity(at) == at + 1) {
-            ++busy;
-        }
-    }
-    if (busy * 4 >= comps_.size()) {
-        return;
-    }
-    wheel_.reset(at + 1);
-    armed_ = 0;
-    for (std::uint32_t i = 0; i < comps_.size(); ++i) {
-        const Cycle h = comps_[i]->next_activity(at);
-        due_[i] = kIdleForever;
-        if (h != kIdleForever) {
-            arm(i, h);
-        }
-    }
-    dense_ = false;
-    hot_streak_ = 0;
-    last_cycle_ = at;
 }
 
 void WheelScheduler::catch_up(Cycle to) {

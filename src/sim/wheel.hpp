@@ -5,36 +5,37 @@
 ///
 /// The dense loop (kept behind `--no-wheel` / `cfg.use_wheel = false` as the
 /// differential oracle) ticks all N components at every cycle.  The
-/// wheel inverts that: after every tick a component is *re-armed* at its own
-/// declared horizon and sleeps until then, and inbound traffic re-arms
-/// sleepers through the wake contract (sim/component.hpp).  Results are
-/// fingerprint-exact by construction:
+/// wheel inverts that: every tick returns the component's horizon, the
+/// component is *re-armed* there and sleeps until then, and inbound traffic
+/// re-arms sleepers through the wake contract (sim/component.hpp).  Results
+/// are fingerprint-exact by construction:
 ///
 ///  * Per-component accounting cursors.  `acct_[i]` is component i's next
 ///    unaccounted cycle.  When i is visited at cycle h after sleeping, the
 ///    span [acct_[i], h) is bulk-applied with `skip()` *first* — the wake
 ///    contract guarantees a sleeping component received no input inside the
 ///    span, so its state is frozen and skip() is bit-identical to ticking.
-///  * Dense-order wakes.  Components are visited in ascending scheduler-
-///    list index within a cycle, the dense loop's relative order.  A push
-///    into a *later*-indexed component joins the current cycle (the dense
-///    loop would tick it after the producer this cycle); a push into an
-///    earlier-indexed one arms it for the next cycle — exactly the
-///    wrap-edge rule docs/ARCHITECTURE.md derives for the ring.
-///  * Degradation to dense.  When nearly every component reports horizon
-///    now+1 (a fully busy machine), per-cycle pop/re-arm is pure overhead:
-///    after kDenseEnterStreak consecutive such cycles the scheduler flips
-///    to plain dense ticking, and re-evaluates every kDenseExitPeriod
-///    cycles — horizons are a pure function of simulated state, so the mode
-///    switches are deterministic and (by the skip ≡ tick contract) both
-///    modes produce identical results.
+///  * Dense-order visit set.  The components due in the cycle being run
+///    are a bitset over component ids, scanned in ascending (dense) order.
+///    A push into a *later*-indexed component sets a bit the scan has not
+///    passed yet, so it joins the current cycle (the dense loop would tick
+///    it after the producer this cycle); a push into an earlier-indexed one
+///    arms it for the next cycle — exactly the wrap-edge rule
+///    docs/ARCHITECTURE.md derives for the ring.
+///  * Stay-armed lane.  A horizon (or wake) of now + 1 — a busy component
+///    staying busy — sets a bit in the next cycle's bitset instead of
+///    entering the wheel, so the wheel only holds horizons of now + 2 or
+///    later.
 ///
 /// The wheel itself is a 2-level calendar: 256 one-cycle L0 slots, 256
 /// 256-cycle L1 slots (64Ki-cycle span), and an overflow list.  Entries are
 /// lazily deleted: `due_[i]` is the single source of truth, and stale
 /// entries (left behind when a wake re-armed a component earlier) are
-/// filtered on collection.  A wake only ever *lowers* a component's due
-/// cycle, so the earliest live entry is never hidden behind a ghost.
+/// filtered when their cycle is scanned.  A wake only ever *lowers* a
+/// component's due cycle, so the earliest live entry is never hidden behind
+/// a ghost.  Next-cycle bits are never stale: they are only set for
+/// components the scan has already passed, which no later wake in the
+/// cycle can move earlier.
 #pragma once
 
 #include <cstdint>
@@ -55,12 +56,14 @@ namespace dta::sim {
 struct WheelStats {
     bool enabled = false;
     std::uint64_t pops = 0;     ///< component visits taken from the wheel
-    std::uint64_t inserts = 0;  ///< wheel enqueues (arms, re-arms, wakes)
-    std::uint64_t rearms = 0;   ///< post-tick next_activity() reschedules
+    std::uint64_t inserts = 0;  ///< arms, re-arms and wakes to a later cycle
+                                ///< (wheel or next-cycle set)
+    std::uint64_t rearms = 0;   ///< post-tick reschedules at the horizon
     std::uint64_t wakes = 0;    ///< inbound-traffic wakes that re-armed
     std::uint64_t active_cycles = 0;   ///< cycles with >= 1 due component
-    std::uint64_t dense_cycles = 0;    ///< cycles run in degraded dense mode
-    std::uint64_t dense_entries = 0;   ///< wheel -> dense transitions
+    /// Always 0: the degraded dense mode it counted is gone.  Kept because
+    /// benchmark records and reports carry the field.
+    std::uint64_t dense_cycles = 0;
     std::uint64_t peak_occupancy = 0;  ///< most components armed at once
 
     /// One point of the Perfetto "wheel" counter track, captured at the
@@ -90,7 +93,16 @@ public:
     TimingWheel() { l0_.resize(kSlots); l1_.resize(kSlots); }
 
     /// Stores \p id at cycle \p at.  \p at must be >= the current position.
-    void insert(Cycle at, std::uint32_t id);
+    void insert(Cycle at, std::uint32_t id) {
+        DTA_CHECK_MSG(at >= pos_, "timing wheel insert in the past");
+        if (page_of(at) != page_of(pos_)) {
+            insert_far(at, id);
+            return;
+        }
+        l0_[at & (kSlots - 1)].push_back(id);
+        ++l0_count_;
+        ++entries_;
+    }
 
     /// Advances the wheel to \p at and moves every id stored there into
     /// \p out (appended; caller clears).  Cycles between the previous
@@ -98,15 +110,30 @@ public:
     /// advances to its own earliest due cycle or to a bound below it);
     /// stale ids from lazily-deleted entries may be returned and must be
     /// filtered by the caller against its due table.
-    void collect(Cycle at, std::vector<std::uint32_t>& out);
+    void collect(Cycle at, std::vector<std::uint32_t>& out) {
+        DTA_CHECK_MSG(at >= pos_, "timing wheel moved backwards");
+        if (page_of(at) != page_of(pos_)) {
+            collect_slow(at, out);  // cascades the next page in
+            return;
+        }
+        // Same page: slots jumped over hold only stale ids (the caller
+        // never advances past a live entry); drop them so a later lap of
+        // the page ring and next_due() never see them.
+        for (Cycle c = pos_; c < at && l0_count_ > 0; ++c) {
+            drop_slot(c);
+        }
+        pos_ = at;
+        auto& slot = l0_[at & (kSlots - 1)];
+        out.insert(out.end(), slot.begin(), slot.end());
+        drop_slot(at);
+    }
 
     /// Earliest cycle holding any entry (live or stale); kCycleNever when
     /// empty.  Because a wake only moves a component *earlier*, the minimum
     /// over all entries is always a live one.
     [[nodiscard]] Cycle next_due() const;
 
-    /// Drops every entry and repositions the wheel at \p at (dense-mode
-    /// exit rebuilds from fresh horizons).
+    /// Drops every entry and repositions the wheel at \p at.
     void reset(Cycle at);
 
     [[nodiscard]] std::size_t entries() const { return entries_; }
@@ -124,8 +151,19 @@ private:
     [[nodiscard]] static Cycle page_of(Cycle c) { return c >> kPageShift; }
     [[nodiscard]] static Cycle epoch_of(Cycle c) { return c >> kEpochShift; }
 
-    /// Moves the wheel's notion of "now" to \p at, cascading L1 pages into
-    /// L0 and overflow epochs into L1 as they come into range.
+    void drop_slot(Cycle c) {
+        auto& slot = l0_[c & (kSlots - 1)];
+        entries_ -= slot.size();
+        l0_count_ -= slot.size();
+        slot.clear();
+    }
+    /// insert() beyond the current page: into L1 or the overflow list.
+    void insert_far(Cycle at, std::uint32_t id);
+    /// collect() into a later page: advance(), then take the slot.
+    void collect_slow(Cycle at, std::vector<std::uint32_t>& out);
+    /// Moves the wheel's notion of "now" to \p at in a later page,
+    /// cascading L1 pages into L0 and overflow epochs into L1 as they come
+    /// into range.
     void advance(Cycle at);
     void refill_l1_from_overflow();
     void refill_l0_from_l1();
@@ -140,7 +178,7 @@ private:
 };
 
 /// The machine's scheduler: owns the due/accounting cursors for an ordered
-/// component list and drives visits through the wheel.
+/// component list and drives visits through the visit sets and the wheel.
 class WheelScheduler final : public Waker {
 public:
     /// Binds the scheduler to \p components (the run loop's scheduler list,
@@ -151,13 +189,11 @@ public:
     void start(Cycle now);
 
     [[nodiscard]] bool started() const { return started_; }
-    [[nodiscard]] bool dense_mode() const { return dense_; }
 
     /// No component is armed at any finite cycle: every horizon came back
-    /// kIdleForever.  (Not meaningful in dense mode, which visits everyone
-    /// regardless.)  The run loop declares idle-forever deadlock on it —
-    /// checked on armed_ rather than the wheel's entry count because
-    /// lazily-deleted ghosts can keep the wheel non-empty after the last
+    /// kIdleForever.  The run loop declares idle-forever deadlock on it —
+    /// checked on armed_ rather than on the wheel and the next-cycle set
+    /// because lazily-deleted ghosts can keep those non-empty after the last
     /// live entry died.
     [[nodiscard]] bool idle() const { return armed_ == 0; }
 
@@ -165,19 +201,19 @@ public:
     /// occupancy feed; same counter the sample() series records).
     [[nodiscard]] std::uint64_t armed() const { return armed_; }
 
-    /// Earliest cycle at which any component is scheduled, given the run
-    /// loop just finished cycle \p now; now + 1 in dense mode.  May name a
-    /// cycle whose entries are all stale (the visit then pops nothing and
-    /// the loop advances) — never later than the true earliest live entry.
-    [[nodiscard]] Cycle next_due(Cycle now) const {
-        return dense_ ? now + 1 : wheel_.next_due();
+    /// Earliest cycle at which any component is scheduled, once the run
+    /// loop has finished a cycle.  May name a cycle whose entries are all
+    /// stale (the visit then ticks nothing and the loop advances) — never
+    /// later than the true earliest live entry.
+    [[nodiscard]] Cycle next_due() const {
+        return next_any_ ? next_at_ : wheel_.next_due();
     }
 
     /// Runs one cycle: visits every component due at \p at in ascending
-    /// list index (catch-up skip, tick, re-arm), folding in same-cycle
-    /// wakes.  In dense mode ticks the whole list instead.  Returns the
-    /// number of components ticked.  \p pb / \p t thread the run loop's
-    /// chained profiling timer through (null pb disables).
+    /// list index (catch-up skip, tick, re-arm at the returned horizon),
+    /// folding in same-cycle wakes.  Returns the number of components
+    /// ticked.  \p pb / \p t thread the run loop's chained profiling timer
+    /// through (null pb disables).
     std::uint32_t run_cycle(Cycle at, ProfBuffer* pb, std::uint64_t& t);
 
     /// Bulk-accounts [acct_i, to) on every component lagging behind \p to —
@@ -204,35 +240,30 @@ public:
 
 private:
     static constexpr std::uint32_t kNoCursor = 0xffffffffu;
-    /// Consecutive fully-busy cycles before degrading to dense ticking.
-    static constexpr std::uint32_t kDenseEnterStreak = 8;
-    /// Dense-mode horizon re-evaluation period (cycles).
-    static constexpr Cycle kDenseExitPeriod = 64;
 
-    std::uint32_t run_dense_cycle(Cycle at, ProfBuffer* pb, std::uint64_t& t);
-    void enter_dense(Cycle at);
-    void maybe_exit_dense(Cycle at);
+    static void set_bit(std::vector<std::uint64_t>& set, std::uint32_t i) {
+        set[i >> 6] |= std::uint64_t{1} << (i & 63);
+    }
+    /// Schedules \p i at \p at (> the cycle in flight): the next-cycle set
+    /// for now + 1, the wheel otherwise.  Counts as an insert.
     void arm(std::uint32_t i, Cycle at);
-    void heap_push(std::uint32_t i);
-    std::uint32_t heap_pop();
 
     std::vector<Component*> comps_;
     std::vector<Cycle> due_;   ///< scheduled visit; kIdleForever = unarmed
     std::vector<Cycle> acct_;  ///< next unaccounted cycle, per component
-    TimingWheel wheel_;
-    std::vector<std::uint32_t> active_;   ///< min-heap: indices due at now_
+    TimingWheel wheel_;        ///< horizons of now + 2 and later
+    std::vector<std::uint64_t> cur_;   ///< visit set of the cycle in flight
+    std::vector<std::uint64_t> next_;  ///< stay-armed lane: due at next_at_
     std::vector<std::uint32_t> scratch_;  ///< collect() buffer
     std::uint64_t armed_ = 0;             ///< components with finite due_
 
     bool started_ = false;
-    bool dense_ = false;
     bool in_cycle_ = false;
-    Cycle now_ = 0;                   ///< cycle being (or last) processed
-    Cycle last_cycle_ = kCycleNever;  ///< previous run_cycle argument
+    bool next_any_ = false;  ///< next_ has a bit set
+    Cycle now_ = 0;          ///< cycle being (or last) processed
+    Cycle next_at_ = 0;      ///< the cycle next_ belongs to: now_ + 1
     std::uint32_t cursor_ = kNoCursor;  ///< component being ticked
-    std::uint32_t hot_streak_ = 0;    ///< consecutive fully-busy cycles
-    Cycle dense_since_ = 0;           ///< cycle dense mode was entered
-    ProfBuffer* pb_ = nullptr;        ///< wake-path kWheelInsert charges
+    ProfBuffer* pb_ = nullptr;          ///< wake-path kWheelInsert charges
 
     WheelStats stats_;
 };

@@ -181,6 +181,28 @@ TEST(FastForward, ZoomExactFourNodes) {
     expect_wheel_exact(zoom_workload(), workloads::Zoom::machine_config(8), 4);
 }
 
+// 8 nodes x 8 SPEs: 8 fabrics + 8 DSEs + the memory interface + 64 PEs + 8
+// routers = 89 scheduler entries, so the wheel's visit sets span two 64-bit
+// words and same-cycle wakes cross the word boundary.
+TEST(FastForward, BitcntExactEightNodesOfEight) {
+    workloads::BitCount::Params p;
+    p.iterations = 320;
+    MachineConfig cfg = workloads::BitCount::machine_config(64);
+    cfg.nodes = 8;
+    cfg.spes_per_node = 8;
+    const std::uint32_t components = 3u * cfg.nodes + 1u + cfg.total_pes();
+    ASSERT_EQ(components, 89u);
+    for (const bool prefetch : {false, true}) {
+        SCOPED_TRACE(prefetch ? "prefetch" : "original");
+        const workloads::BitCount w(p);
+        const Captured dense = run_with(w, cfg, prefetch, false);
+        const Captured wheel = run_with(w, cfg, prefetch, true);
+        expect_identical(dense, wheel);
+        // start() arms every entry at once.
+        EXPECT_EQ(wheel.res.wheel.peak_occupancy, components);
+    }
+}
+
 TEST(FastForward, SingleSpeBlockingRunSkipsMostCycles) {
     // One SPE, blocking READs at 150-cycle latency: the machine is globally
     // idle for most of every round trip, so the overwhelming majority of
