@@ -41,7 +41,7 @@ void BM_InterconnectTick(benchmark::State& state) {
         p.dst_final = p.dst;
         p.size_bytes = 16;
         (void)fabric.try_inject(static_cast<noc::EndpointId>((seq + 1) % 11),
-                                std::move(p), now);
+                                p, now);
         fabric.tick(now++);
         noc::Packet out;
         for (noc::EndpointId ep = 0; ep < 11; ++ep) {

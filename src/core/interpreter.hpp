@@ -14,13 +14,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "isa/program.hpp"
 #include "mem/main_memory.hpp"
+#include "sim/fifo.hpp"
 #include "sim/types.hpp"
 
 namespace dta::core {
@@ -78,7 +78,7 @@ private:
     isa::Program prog_;
     mem::MainMemory mem_;
     std::unordered_map<std::uint64_t, Thread> threads_;
-    std::deque<std::uint64_t> ready_;
+    sim::Fifo<std::uint64_t> ready_;
     std::uint64_t next_handle_ = 1;
     bool launched_ = false;
 };

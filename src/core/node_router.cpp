@@ -22,12 +22,17 @@ NodeRouter::NodeRouter(std::uint16_t node, std::uint16_t num_nodes,
     set_name("router" + std::to_string(node));
 }
 
-bool NodeRouter::inject(noc::EndpointId src, noc::Packet pkt,
+bool NodeRouter::inject(noc::EndpointId src, noc::Packet& pkt,
                         sim::Cycle now) {
-    pkt.dst = pkt.dst_node == node_ ? pkt.dst_final : layout_.bridge_ep();
     DTA_CHECK_MSG(pkt.dst_node == node_ || num_nodes_ > 1,
                   "cross-node packet in a single-node machine");
-    return fabric_.try_inject(src, std::move(pkt), now);
+    const noc::EndpointId queued_dst = pkt.dst;
+    pkt.dst = pkt.dst_node == node_ ? pkt.dst_final : layout_.bridge_ep();
+    if (fabric_.try_inject(src, pkt, now)) {
+        return true;
+    }
+    pkt.dst = queued_dst;  // a refused packet stays queued as it was
+    return false;
 }
 
 sim::Cycle NodeRouter::tick(sim::Cycle now) {
@@ -69,7 +74,7 @@ sim::Cycle NodeRouter::tick(sim::Cycle now) {
             pkt.a = msg.a;
             pkt.b = msg.b;
             pkt.c = msg.c;
-            const bool ok = inject(layout_.dse_ep(), std::move(pkt), now);
+            const bool ok = inject(layout_.dse_ep(), pkt, now);
             DTA_CHECK(ok);  // can_inject was checked
         }
     }
@@ -80,8 +85,7 @@ sim::Cycle NodeRouter::tick(sim::Cycle now) {
         noc::Packet pkt;
         while (pe.has_outgoing() && fabric_.can_inject(layout_.spe_ep(local)) &&
                pe.pop_outgoing(pkt)) {
-            const bool ok =
-                inject(layout_.spe_ep(local), std::move(pkt), now);
+            const bool ok = inject(layout_.spe_ep(local), pkt, now);
             DTA_CHECK(ok);
         }
     }

@@ -65,7 +65,10 @@ public:
     void load_state(sim::StateSource& s) override;
 
 private:
-    [[nodiscard]] bool inject(noc::EndpointId src, noc::Packet pkt,
+    /// Routes \p pkt onto this node's fabric, moving from it only when the
+    /// fabric accepts; a refused packet is left as it was, so queued
+    /// packets retry in place, uncopied.
+    [[nodiscard]] bool inject(noc::EndpointId src, noc::Packet& pkt,
                               sim::Cycle now);
 
     std::uint16_t node_;

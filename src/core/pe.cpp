@@ -149,7 +149,7 @@ void Pe::tick_units(sim::Cycle now) {
                                     now);
                 break;
             case sched::MsgKind::kDmaLineResp:
-                mfc_.deliver_line_data(pkt.a, pkt.data);
+                mfc_.deliver_line_data(pkt.a, std::move(pkt.data));
                 break;
             case sched::MsgKind::kDmaPutAck:
                 mfc_.ack_put_line(pkt.a);

@@ -14,7 +14,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <optional>
 
 #include "core/breakdown.hpp"

@@ -251,8 +251,7 @@ void Mfc::advance(sim::Cycle now) {
     emit_lines();
 }
 
-void Mfc::deliver_line_data(std::uint64_t line_id,
-                            std::span<const std::uint8_t> data) {
+void Mfc::deliver_line_data(std::uint64_t line_id, sim::Payload data) {
     const auto it = std::find_if(
         line_table_.begin(), line_table_.end(),
         [&](const auto& e) { return e.first == line_id; });
@@ -264,7 +263,7 @@ void Mfc::deliver_line_data(std::uint64_t line_id,
     rq.is_write = true;
     rq.addr = info.ls_addr;
     rq.size = info.bytes;
-    rq.data.assign(data.begin(), data.end());
+    rq.data = std::move(data);
     rq.meta = line_id;
     ls_.enqueue(mem::LsClient::kMfc, std::move(rq));
 }
@@ -417,8 +416,7 @@ void Mfc::save_state(sim::StateSink& s) const {
                       k.u8(static_cast<std::uint8_t>(ln.op));
                       k.u64(ln.mem_addr);
                       k.u32(ln.bytes);
-                      k.u64(ln.data.size());
-                      k.blob(ln.data.data(), ln.data.size());
+                      sim::save_payload(k, ln.data);
                   });
     s.u64(next_line_id_);
     sim::save_seq(s, line_table_, [](sim::StateSink& k, const auto& e) {
@@ -468,8 +466,7 @@ void Mfc::load_state(sim::StateSource& s) {
                       ln.op = static_cast<MfcOp>(k.u8());
                       ln.mem_addr = k.u64();
                       ln.bytes = k.u32();
-                      ln.data.resize(k.u64());
-                      k.blob(ln.data.data(), ln.data.size());
+                      sim::load_payload(k, ln.data);
                   });
     next_line_id_ = s.u64();
     sim::load_seq(s, line_table_, [](sim::StateSource& k, auto& e) {

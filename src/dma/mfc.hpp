@@ -25,14 +25,14 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <span>
 #include <utility>
 #include <vector>
 
 #include "mem/local_store.hpp"
 #include "sim/component.hpp"
+#include "sim/fifo.hpp"
 #include "sim/metrics.hpp"
+#include "sim/payload.hpp"
 #include "sim/types.hpp"
 
 namespace dta::sim {
@@ -70,7 +70,7 @@ struct MfcLineRequest {
     MfcOp op = MfcOp::kGet;
     sim::MemAddr mem_addr = 0;
     std::uint32_t bytes = 0;
-    std::vector<std::uint8_t> data;  ///< payload for PUT lines
+    sim::Payload data;          ///< payload for PUT lines
 };
 
 /// Published when the last line of a command lands.
@@ -167,9 +167,9 @@ public:
         return true;
     }
 
-    /// Delivers the data for a previously popped GET line request.
-    void deliver_line_data(std::uint64_t line_id,
-                           std::span<const std::uint8_t> data);
+    /// Delivers the data for a previously popped GET line request; the
+    /// bytes move on into the local-store write, uncopied.
+    void deliver_line_data(std::uint64_t line_id, sim::Payload data);
 
     /// Acknowledges a PUT line reaching memory.
     void ack_put_line(std::uint64_t line_id);
@@ -259,22 +259,22 @@ private:
 
     MfcConfig cfg_;
     mem::LocalStore& ls_;
-    std::deque<MfcCommand> queue_;
-    std::deque<sim::Cycle> queue_times_;  ///< enqueue cycle, parallel to queue_
+    sim::Fifo<MfcCommand> queue_;
+    sim::Fifo<sim::Cycle> queue_times_;  ///< enqueue cycle, parallel to queue_
     bool decoding_ = false;
     sim::Cycle decode_done_at_ = 0;
     MfcCommand decode_cmd_;
     sim::Cycle decode_cmd_enq_at_ = 0;
     std::vector<ActiveCommand> active_;    ///< indexed by slot; freed lazily
-    std::deque<std::size_t> free_slots_;
-    std::deque<MfcLineRequest> ready_lines_;  ///< emitted, waiting for pickup
+    sim::Fifo<std::size_t> free_slots_;
+    sim::Fifo<MfcLineRequest> ready_lines_;  ///< emitted, waiting for pickup
     std::uint64_t next_line_id_ = 1;
     std::vector<std::pair<std::uint64_t, LineInfo>> line_table_;  ///< in-flight
     std::uint32_t lines_in_flight_ = 0;
     /// Lines of decoded commands not yet emitted; derived from active_
     /// (recomputed on load, never serialized).
     std::uint32_t lines_unemitted_ = 0;
-    std::deque<MfcCompletion> completions_;
+    sim::Fifo<MfcCompletion> completions_;
     std::uint64_t commands_completed_ = 0;
     std::uint64_t bytes_ = 0;
     std::uint64_t rejections_ = 0;

@@ -14,8 +14,7 @@ void save_ls_request(sim::StateSink& s, const LsRequest& r) {
     s.flag(r.is_write);
     s.u32(r.addr);
     s.u32(r.size);
-    sim::save_seq(s, r.data,
-                  [](sim::StateSink& k, std::uint8_t b) { k.u8(b); });
+    sim::save_payload(s, r.data);
     s.u64(r.meta);
 }
 
@@ -24,8 +23,7 @@ void load_ls_request(sim::StateSource& s, LsRequest& r) {
     r.is_write = s.flag();
     r.addr = s.u32();
     r.size = s.u32();
-    sim::load_seq(s, r.data,
-                  [](sim::StateSource& k, std::uint8_t& b) { b = k.u8(); });
+    sim::load_payload(s, r.data);
     r.meta = s.u64();
 }
 
@@ -107,7 +105,7 @@ void LocalStore::service(sim::Cycle now) {
         if (fl.req.is_write) {
             write_bytes(fl.req.addr, fl.req.data);
         } else {
-            resp.data.resize(fl.req.size);
+            resp.data.assign(fl.req.size, 0);
             read_bytes(fl.req.addr, resp.data);
         }
         responses_[static_cast<std::size_t>(fl.client)].push_back(
@@ -160,8 +158,7 @@ void LocalStore::save_state(sim::StateSink& s) const {
             k.u64(r.id);
             k.flag(r.is_write);
             k.u32(r.addr);
-            sim::save_seq(k, r.data,
-                          [](sim::StateSink& j, std::uint8_t b) { j.u8(b); });
+            sim::save_payload(k, r.data);
             k.u64(r.meta);
         });
     }
@@ -187,10 +184,7 @@ void LocalStore::load_state(sim::StateSource& s) {
             r.id = k.u64();
             r.is_write = k.flag();
             r.addr = k.u32();
-            sim::load_seq(k, r.data,
-                          [](sim::StateSource& j, std::uint8_t& b) {
-                              b = j.u8();
-                          });
+            sim::load_payload(k, r.data);
             r.meta = k.u64();
         });
     }

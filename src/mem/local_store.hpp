@@ -14,11 +14,12 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "sim/fifo.hpp"
+#include "sim/payload.hpp"
 #include "sim/types.hpp"
 
 namespace dta::sim {
@@ -49,7 +50,7 @@ struct LsRequest {
     bool is_write = false;
     sim::LsAddr addr = 0;
     std::uint32_t size = 4;
-    std::vector<std::uint8_t> data;  ///< payload for writes
+    sim::Payload data;  ///< payload for writes
     std::uint64_t meta = 0;
 };
 
@@ -58,7 +59,7 @@ struct LsResponse {
     std::uint64_t id = 0;
     bool is_write = false;
     sim::LsAddr addr = 0;
-    std::vector<std::uint8_t> data;  ///< filled for reads
+    sim::Payload data;  ///< filled for reads
     std::uint64_t meta = 0;
 };
 
@@ -154,9 +155,9 @@ private:
 
     LocalStoreConfig cfg_;
     std::vector<std::uint8_t> bytes_;
-    std::array<std::deque<LsRequest>, kNumLsClients> queues_;
-    std::deque<InFlight> in_flight_;
-    std::array<std::deque<LsResponse>, kNumLsClients> responses_;
+    std::array<sim::Fifo<LsRequest>, kNumLsClients> queues_;
+    sim::Fifo<InFlight> in_flight_;
+    std::array<sim::Fifo<LsResponse>, kNumLsClients> responses_;
     std::size_t rr_next_ = 0;  ///< round-robin arbitration cursor
     std::array<std::uint64_t, kNumLsClients> served_{};
     std::uint64_t contended_ = 0;

@@ -15,8 +15,7 @@ void save_request(sim::StateSink& s, const MemRequest& r) {
     s.u8(static_cast<std::uint8_t>(r.op));
     s.u64(r.addr);
     s.u32(r.size);
-    sim::save_seq(s, r.data,
-                  [](sim::StateSink& k, std::uint8_t b) { k.u8(b); });
+    sim::save_payload(s, r.data);
     s.u64(r.meta);
 }
 
@@ -25,8 +24,7 @@ void load_request(sim::StateSource& s, MemRequest& r) {
     r.op = static_cast<MemOp>(s.u8());
     r.addr = s.u64();
     r.size = s.u32();
-    sim::load_seq(s, r.data,
-                  [](sim::StateSource& k, std::uint8_t& b) { b = k.u8(); });
+    sim::load_payload(s, r.data);
     r.meta = s.u64();
 }
 
@@ -147,7 +145,7 @@ sim::Cycle MainMemory::tick(sim::Cycle now) {
         resp.addr = fl.req.addr;
         resp.meta = fl.req.meta;
         if (fl.req.op == MemOp::kRead) {
-            resp.data.resize(fl.req.size);
+            resp.data.assign(fl.req.size, 0);
             read_bytes(fl.req.addr, resp.data);
             ++reads_served_;
             bytes_read_ += fl.req.size;
@@ -198,8 +196,7 @@ void MainMemory::save_state(sim::StateSink& s) const {
         k.u64(r.id);
         k.u8(static_cast<std::uint8_t>(r.op));
         k.u64(r.addr);
-        sim::save_seq(k, r.data,
-                      [](sim::StateSink& j, std::uint8_t b) { j.u8(b); });
+        sim::save_payload(k, r.data);
         k.u64(r.meta);
     });
     s.u64(port_free_at_);
@@ -227,8 +224,7 @@ void MainMemory::load_state(sim::StateSource& s) {
         r.id = k.u64();
         r.op = static_cast<MemOp>(k.u8());
         r.addr = k.u64();
-        sim::load_seq(k, r.data,
-                      [](sim::StateSource& j, std::uint8_t& b) { b = j.u8(); });
+        sim::load_payload(k, r.data);
         r.meta = k.u64();
     });
     port_free_at_ = s.u64();

@@ -18,11 +18,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <vector>
 
 #include "sim/component.hpp"
+#include "sim/fifo.hpp"
+#include "sim/payload.hpp"
 #include "sim/types.hpp"
 
 namespace dta::mem {
@@ -45,7 +46,7 @@ struct MemRequest {
     MemOp op = MemOp::kRead;
     sim::MemAddr addr = 0;
     std::uint32_t size = 4;     ///< bytes
-    std::vector<std::uint8_t> data;  ///< payload for writes
+    sim::Payload data;          ///< payload for writes
     std::uint64_t meta = 0;     ///< opaque requester context
 };
 
@@ -54,7 +55,7 @@ struct MemResponse {
     std::uint64_t id = 0;
     MemOp op = MemOp::kRead;
     sim::MemAddr addr = 0;
-    std::vector<std::uint8_t> data;  ///< filled for reads
+    sim::Payload data;          ///< filled for reads
     std::uint64_t meta = 0;
 };
 
@@ -145,9 +146,9 @@ private:
 
     MainMemoryConfig cfg_;
     std::vector<std::vector<std::uint8_t>> pages_;  ///< lazily allocated
-    std::deque<MemRequest> queue_;
-    std::deque<InFlight> in_flight_;  ///< ordered by done_at (FIFO starts)
-    std::deque<MemResponse> responses_;
+    sim::Fifo<MemRequest> queue_;
+    sim::Fifo<InFlight> in_flight_;  ///< ordered by done_at (FIFO starts)
+    sim::Fifo<MemResponse> responses_;
     sim::Cycle port_free_at_ = 0;
     std::uint64_t reads_served_ = 0;
     std::uint64_t writes_served_ = 0;

@@ -37,16 +37,16 @@ bool Interconnect::can_inject(EndpointId src) const {
     return inject_[src].size() < cfg_.inject_queue_depth;
 }
 
-bool Interconnect::try_inject(EndpointId src, Packet pkt, sim::Cycle now) {
+bool Interconnect::try_inject(EndpointId src, Packet& pkt, sim::Cycle now) {
     DTA_CHECK(src < inject_.size());
     DTA_CHECK_MSG(pkt.dst < inbox_.size(), "packet addressed off the fabric");
     if (inject_[src].size() >= cfg_.inject_queue_depth) {
         ++stats_.inject_stall_events;
         return false;
     }
-    pkt.src = src;
-    pkt.enq_at = now;
-    inject_[src].push_back(std::move(pkt));
+    Packet& queued = inject_[src].emplace_back(std::move(pkt));
+    queued.src = src;
+    queued.enq_at = now;
     ++inject_pending_;
     ++stats_.packets_injected;
     if (waker_ != nullptr) {

@@ -11,11 +11,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "noc/packet.hpp"
 #include "sim/component.hpp"
+#include "sim/fifo.hpp"
 #include "sim/metrics.hpp"
 #include "sim/port.hpp"
 #include "sim/types.hpp"
@@ -51,12 +51,14 @@ public:
     /// True if \p src has a free injection slot this cycle.
     [[nodiscard]] bool can_inject(EndpointId src) const;
 
-    /// Injects a packet at cycle \p now; returns false (and leaves \p pkt
-    /// untouched) when the endpoint's injection queue is full.  \p now is
-    /// the caller's current cycle — under the event-driven scheduler the
-    /// fabric may not have ticked this cycle, so the injection timestamp
-    /// cannot be derived from its own clock.
-    [[nodiscard]] bool try_inject(EndpointId src, Packet pkt, sim::Cycle now);
+    /// Injects a packet at cycle \p now, moving from \p pkt; returns false
+    /// (counting the refusal and leaving \p pkt untouched, so the caller can
+    /// keep it queued and retry without a copy) when the endpoint's
+    /// injection queue is full.  \p now is the caller's current cycle —
+    /// under the event-driven scheduler the fabric may not have ticked this
+    /// cycle, so the injection timestamp cannot be derived from its own
+    /// clock.
+    [[nodiscard]] bool try_inject(EndpointId src, Packet& pkt, sim::Cycle now);
 
     /// Re-arms scheduler entry \p component on every successful injection
     /// (the fabric sleeps between grants; an injection is new input).
@@ -130,12 +132,12 @@ private:
     [[nodiscard]] std::uint32_t transfer_cycles(const Packet& pkt) const;
 
     InterconnectConfig cfg_;
-    std::vector<std::deque<Packet>> inject_;   ///< per-endpoint injection queues
+    std::vector<sim::Fifo<Packet>> inject_;    ///< per-endpoint injection queues
     std::vector<sim::Cycle> bus_free_at_;      ///< per-bus availability
     /// Min-heap on (deliver_at, seq) under std::push_heap/std::pop_heap, so
     /// a matured packet can be moved out of the back instead of copied.
     std::vector<InTransit> in_transit_;
-    std::vector<std::deque<Packet>> inbox_;    ///< per-endpoint delivered packets
+    std::vector<sim::Fifo<Packet>> inbox_;     ///< per-endpoint delivered packets
     std::vector<sim::Port<Packet>*> sinks_;    ///< per-endpoint bound consumers
     std::size_t rr_next_ = 0;
     std::size_t inject_pending_ = 0;  ///< total packets across inject_ queues

@@ -10,10 +10,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "noc/packet.hpp"
 #include "sim/component.hpp"
+#include "sim/fifo.hpp"
 #include "sim/types.hpp"
 
 namespace dta::noc {
@@ -84,9 +84,9 @@ private:
     };
 
     LinkConfig cfg_;
-    std::deque<Packet> queue_;
-    std::deque<InTransit> in_transit_;  ///< FIFO: serialised in order
-    std::deque<Packet> delivered_;
+    sim::Fifo<Packet> queue_;
+    sim::Fifo<InTransit> in_transit_;  ///< FIFO: serialised in order
+    sim::Fifo<Packet> delivered_;
     sim::Cycle wire_free_at_ = 0;
     std::uint64_t carried_ = 0;
     std::uint64_t bytes_ = 0;

@@ -4,12 +4,13 @@
 /// The NoC layer knows nothing about the DTA protocol; packet *kinds* are
 /// small integers defined by the protocol layer (src/sched/messages.hpp).
 /// Three scalar payload words cover every control message; bulk DMA data
-/// rides in the byte vector and is what the size accounting charges.
+/// rides in the byte payload (sim/payload.hpp) and is what the size
+/// accounting charges.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
+#include "sim/payload.hpp"
 #include "sim/snapshot.hpp"
 
 namespace dta::noc {
@@ -36,7 +37,7 @@ struct Packet {
     std::uint64_t b = 0;          ///< payload word (e.g. value)
     std::uint64_t c = 0;          ///< payload word (e.g. correlation id)
     std::uint64_t enq_at = 0;     ///< fabric-internal: injection cycle
-    std::vector<std::uint8_t> data;  ///< bulk payload (DMA lines)
+    sim::Payload data;            ///< bulk payload (DMA lines)
 };
 
 /// Checkpoint serialization of a packet (field by field; every layer that
@@ -52,8 +53,7 @@ inline void save_packet(sim::StateSink& s, const Packet& p) {
     s.u64(p.b);
     s.u64(p.c);
     s.u64(p.enq_at);
-    s.u64(p.data.size());
-    s.blob(p.data.data(), p.data.size());
+    sim::save_payload(s, p.data);
 }
 
 inline void load_packet(sim::StateSource& s, Packet& p) {
@@ -67,8 +67,7 @@ inline void load_packet(sim::StateSource& s, Packet& p) {
     p.b = s.u64();
     p.c = s.u64();
     p.enq_at = s.u64();
-    p.data.resize(s.u64());
-    s.blob(p.data.data(), p.data.size());
+    sim::load_payload(s, p.data);
 }
 
 }  // namespace dta::noc

@@ -289,7 +289,7 @@ void Lse::enqueue_frame_write(std::uint32_t slot, std::uint32_t word_off,
     rq.is_write = true;
     rq.addr = frame_ls_base(slot) + word_off * 8;
     rq.size = 8;
-    rq.data.resize(8);
+    rq.data.assign(8, 0);
     std::uint64_t v = value;
     for (int i = 0; i < 8; ++i) {
         rq.data[static_cast<std::size_t>(i)] =
@@ -923,7 +923,7 @@ void Lse::load_state(sim::StateSource& s) {
     const std::uint64_t nissue = s.u64();
     for (std::uint64_t i = 0; i < nissue; ++i) {
         const std::uint8_t rd = s.u8();
-        std::deque<sim::Cycle>& issues = falloc_issue_[rd];
+        sim::Fifo<sim::Cycle>& issues = falloc_issue_[rd];
         sim::load_seq(s, issues,
                       [](sim::StateSource& k, sim::Cycle& c) { c = k.u64(); });
     }

@@ -64,9 +64,10 @@ ResultCache::ResultCache(std::string dir, std::uint64_t max_bytes)
         if (name.size() != 16 + 7 || name.substr(16) != ".dtares") {
             continue;
         }
+        // `end` points into `hex`, so the digits must outlive the check.
+        const std::string hex = name.substr(0, 16);
         char* end = nullptr;
-        const std::uint64_t key =
-            std::strtoull(name.substr(0, 16).c_str(), &end, 16);
+        const std::uint64_t key = std::strtoull(hex.c_str(), &end, 16);
         if (end == nullptr || *end != '\0') {
             continue;
         }

@@ -3,10 +3,9 @@
 ///
 /// `Port<T>` is the one sanctioned way to move data between components:
 /// the producer holds a `Port<T>*` bound once at machine construction and
-/// pushes; the owning consumer drains in its own tick. This replaces the
-/// seed's anonymous glue deques (`memif_outbox_`, `bridge_out_`,
-/// `link_arrivals_`) whose routing was re-derived every cycle inside
-/// `Machine`.
+/// pushes; the owning consumer drains in its own tick. Its queue is a
+/// `Fifo<T>` ring (sim/fifo.hpp), the queue type of all component state,
+/// so a port allocates only when it grows past its peak occupancy.
 ///
 /// `Pool<T>` replaces the hand-rolled in-flight context free-list: slots
 /// are handed out by index (cheap to stuff into a packet's metadata word)
@@ -14,11 +13,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <utility>
 #include <vector>
 
 #include "sim/check.hpp"
+#include "sim/fifo.hpp"
 #include "sim/snapshot.hpp"
 
 namespace dta::sim {
@@ -65,7 +64,9 @@ class Port {
     }
 
     /// Peek the oldest element (for try-then-commit consumers that may
-    /// have to leave it queued, e.g. when downstream refuses injection).
+    /// have to leave it queued, e.g. when downstream refuses injection:
+    /// the fabric moves from it only when it accepts).
+    [[nodiscard]] T& front() { return q_.front(); }
     [[nodiscard]] const T& front() const { return q_.front(); }
     void pop_front() { q_.pop_front(); }
 
@@ -89,7 +90,7 @@ class Port {
     }
 
  private:
-    std::deque<T> q_;
+    Fifo<T> q_;
     Waker* waker_ = nullptr;
     std::uint32_t waker_comp_ = 0;
 };

@@ -35,11 +35,12 @@ struct Harness {
                 lines_seen.push_back(line);
                 if (line.op == MfcOp::kGet) {
                     // Instant fake memory: return data next tick.
-                    std::vector<std::uint8_t> data(
+                    sim::Payload data;
+                    data.assign(
                         memory.begin() + static_cast<long>(line.mem_addr),
                         memory.begin() +
                             static_cast<long>(line.mem_addr + line.bytes));
-                    mfc.deliver_line_data(line.line_id, data);
+                    mfc.deliver_line_data(line.line_id, std::move(data));
                 } else {
                     // Apply the PUT and ack.
                     for (std::uint32_t i = 0; i < line.bytes; ++i) {

@@ -17,9 +17,14 @@ Packet mk(EndpointId dst, std::uint32_t size = 16) {
     return p;
 }
 
+/// try_inject on a packet the caller does not keep.
+bool inject(Interconnect& noc, EndpointId src, Packet pkt, sim::Cycle now) {
+    return noc.try_inject(src, pkt, now);
+}
+
 TEST(Interconnect, DeliversAfterTransferPlusHop) {
     Interconnect noc(table4(), 4);
-    ASSERT_TRUE(noc.try_inject(0, mk(2, /*size=*/16), 0));
+    ASSERT_TRUE(inject(noc, 0, mk(2, /*size=*/16), 0));
     // 16 bytes at 8 B/cycle = 2 cycles occupancy + 5 hop latency.
     Packet out;
     sim::Cycle got = 0;
@@ -38,7 +43,7 @@ TEST(Interconnect, DeliversAfterTransferPlusHop) {
 TEST(Interconnect, FourBusesCarryFourPacketsConcurrently) {
     Interconnect noc(table4(), 8);
     for (EndpointId src = 0; src < 4; ++src) {
-        ASSERT_TRUE(noc.try_inject(src, mk(7, 16), 0));
+        ASSERT_TRUE(inject(noc, src, mk(7, 16), 0));
     }
     std::vector<sim::Cycle> deliveries;
     Packet out;
@@ -56,7 +61,7 @@ TEST(Interconnect, FourBusesCarryFourPacketsConcurrently) {
 TEST(Interconnect, FifthPacketWaitsForAFreeBus) {
     Interconnect noc(table4(), 8);
     for (int i = 0; i < 5; ++i) {
-        ASSERT_TRUE(noc.try_inject(0, mk(7, 16), 0));
+        ASSERT_TRUE(inject(noc, 0, mk(7, 16), 0));
     }
     std::vector<sim::Cycle> deliveries;
     Packet out;
@@ -74,11 +79,47 @@ TEST(Interconnect, InjectionQueueBackPressure) {
     InterconnectConfig cfg = table4();
     cfg.inject_queue_depth = 2;
     Interconnect noc(cfg, 2);
-    EXPECT_TRUE(noc.try_inject(0, mk(1), 0));
-    EXPECT_TRUE(noc.try_inject(0, mk(1), 0));
+    EXPECT_TRUE(inject(noc, 0, mk(1), 0));
+    EXPECT_TRUE(inject(noc, 0, mk(1), 0));
     EXPECT_FALSE(noc.can_inject(0));
-    EXPECT_FALSE(noc.try_inject(0, mk(1), 0));
+    EXPECT_FALSE(inject(noc, 0, mk(1), 0));
     EXPECT_EQ(noc.stats().inject_stall_events, 1u);
+}
+
+TEST(Interconnect, RefusedInjectionLeavesPacketUntouched) {
+    InterconnectConfig cfg = table4();
+    cfg.inject_queue_depth = 1;
+    Interconnect noc(cfg, 2);
+    EXPECT_TRUE(inject(noc, 0, mk(1), 0));
+    Packet pkt = mk(1, 136);
+    pkt.a = 42;
+    pkt.data.assign(128, 0x5a);
+    const Packet before = pkt;
+    EXPECT_FALSE(noc.try_inject(0, pkt, 3));
+    EXPECT_FALSE(noc.try_inject(0, pkt, 4));
+    EXPECT_EQ(noc.stats().inject_stall_events, 2u);
+    EXPECT_EQ(pkt.data, before.data);
+    EXPECT_EQ(pkt.a, 42u);
+    EXPECT_EQ(pkt.src, before.src);
+    EXPECT_EQ(pkt.enq_at, before.enq_at);
+
+    // Once a bus takes the queued packet the same packet goes in, payload
+    // and all.
+    noc.tick(4);
+    ASSERT_TRUE(noc.try_inject(0, pkt, 5));
+    Packet out;
+    std::vector<std::uint64_t> got;
+    for (sim::Cycle now = 5; now < 60; ++now) {
+        noc.tick(now);
+        while (noc.pop_delivered(1, out)) {
+            got.push_back(out.a);
+            if (out.a == 42) {
+                EXPECT_EQ(out.enq_at, 5u);
+                EXPECT_EQ(out.data, before.data);
+            }
+        }
+    }
+    EXPECT_EQ(got, (std::vector<std::uint64_t>{0, 42}));
 }
 
 TEST(Interconnect, RoundRobinAcrossEndpoints) {
@@ -86,10 +127,10 @@ TEST(Interconnect, RoundRobinAcrossEndpoints) {
     cfg.num_buses = 1;  // serialise everything through one bus
     Interconnect noc(cfg, 4);
     // Endpoints 0 and 1 each queue two packets; service must alternate.
-    ASSERT_TRUE(noc.try_inject(0, mk(3, 8), 0));
-    ASSERT_TRUE(noc.try_inject(0, mk(3, 8), 0));
-    ASSERT_TRUE(noc.try_inject(1, mk(3, 8), 0));
-    ASSERT_TRUE(noc.try_inject(1, mk(3, 8), 0));
+    ASSERT_TRUE(inject(noc, 0, mk(3, 8), 0));
+    ASSERT_TRUE(inject(noc, 0, mk(3, 8), 0));
+    ASSERT_TRUE(inject(noc, 1, mk(3, 8), 0));
+    ASSERT_TRUE(inject(noc, 1, mk(3, 8), 0));
     std::vector<EndpointId> srcs;
     Packet out;
     for (sim::Cycle now = 0; now < 30; ++now) {
@@ -107,7 +148,7 @@ TEST(Interconnect, RoundRobinAcrossEndpoints) {
 
 TEST(Interconnect, BandwidthAccountingMatchesBytes) {
     Interconnect noc(table4(), 2);
-    ASSERT_TRUE(noc.try_inject(0, mk(1, 128), 0));
+    ASSERT_TRUE(inject(noc, 0, mk(1, 128), 0));
     Packet out;
     for (sim::Cycle now = 0; now < 40; ++now) {
         noc.tick(now);
@@ -128,7 +169,7 @@ TEST(Interconnect, ConservationUnderLoad) {
     for (sim::Cycle now = 0; now < 300; ++now) {
         if (now < 100) {
             for (EndpointId src = 0; src < 6; ++src) {
-                if (noc.try_inject(src, mk((src + 1) % 6, 8), now)) {
+                if (inject(noc, src, mk((src + 1) % 6, 8), now)) {
                     ++injected;
                 }
             }
@@ -146,7 +187,7 @@ TEST(Interconnect, ConservationUnderLoad) {
 
 TEST(Interconnect, ZeroSizePacketStillMoves) {
     Interconnect noc(table4(), 2);
-    ASSERT_TRUE(noc.try_inject(0, mk(1, 0), 0));
+    ASSERT_TRUE(inject(noc, 0, mk(1, 0), 0));
     Packet out;
     bool got = false;
     for (sim::Cycle now = 0; now < 20 && !got; ++now) {

@@ -189,8 +189,9 @@ TEST(MfcHorizon, FollowsCommandLifetime) {
 
     // Return the data; the LS write-back then completes the tag.  While the
     // completion sits unfetched the horizon must stay at now + 1.
-    const std::vector<std::uint8_t> data(line.bytes, 0xAB);
-    mfc.deliver_line_data(line.line_id, data);
+    sim::Payload data;
+    data.assign(line.bytes, 0xAB);
+    mfc.deliver_line_data(line.line_id, std::move(data));
     dma::MfcCompletion comp;
     bool completed = false;
     for (sim::Cycle now = decoded_at + 1; now < decoded_at + 32; ++now) {

@@ -454,8 +454,9 @@ class MfcHarness {
         while (!returns_.empty() && returns_.front().first <= c) {
             const std::uint64_t line = returns_.front().second;
             returns_.erase(returns_.begin());
-            mfc_.deliver_line_data(
-                line, std::vector<std::uint8_t>(line_bytes_[line], 0xAB));
+            sim::Payload data;
+            data.assign(line_bytes_[line], 0xAB);
+            mfc_.deliver_line_data(line, std::move(data));
             any = true;
         }
         return any;
