@@ -30,6 +30,14 @@ namespace {
 
 using namespace dta;
 
+/// "<prefix><i>", appended rather than prefix + std::to_string(i): gcc 12
+/// at -O3 flags the prepend with a false -Wrestrict.
+std::string numbered(const char* prefix, int i) {
+    std::string s = prefix;
+    s += std::to_string(i);
+    return s;
+}
+
 void BM_InterconnectTick(benchmark::State& state) {
     noc::Interconnect fabric(noc::InterconnectConfig{}, 11);
     sim::Cycle now = 0;
@@ -229,7 +237,7 @@ void BM_WheelSchedulerPopRearm(benchmark::State& state) {
     std::vector<sim::Component*> comps;
     for (int i = 0; i < 64; ++i) {
         owners.push_back(std::make_unique<StrideComponent>(
-            "c" + std::to_string(i), 1 + (i * 7) % 13));
+            numbered("c", i), 1 + (i * 7) % 13));
         comps.push_back(owners.back().get());
     }
     for (auto _ : state) {

@@ -115,29 +115,28 @@ Machine::Machine(MachineConfig cfg, isa::Program prog)
     memif_ = std::make_unique<MemInterface>(mem_);
     routers_.reserve(cfg_.nodes);
     for (std::uint16_t n = 0; n < cfg_.nodes; ++n) {
-        std::vector<Pe*> local;
-        local.reserve(cfg_.spes_per_node);
-        for (std::uint16_t l = 0; l < cfg_.spes_per_node; ++l) {
-            local.push_back(pes_[topo_.global_pe(n, l)].get());
-        }
         routers_.push_back(std::make_unique<NodeRouter>(
-            n, cfg_.nodes, layout_, fabrics_[n], dses_[n], std::move(local),
-            n == kMemoryNode ? memif_.get() : nullptr,
+            n, cfg_.nodes, layout_, fabrics_[n],
             cfg_.nodes > 1 ? &links_[n] : nullptr));
     }
 
     // Wiring, declared once: fabric endpoints deliver straight into the
-    // owning component's rx port; ring links deliver into the next node's
-    // router.
+    // owning component's rx port; every producer injects through its node's
+    // router at the end of its own tick; ring links deliver into the next
+    // node's router.
     for (std::uint16_t n = 0; n < cfg_.nodes; ++n) {
         noc::Interconnect& fab = fabrics_[n];
+        NodeRouter* router = routers_[n].get();
         for (std::uint16_t l = 0; l < cfg_.spes_per_node; ++l) {
-            fab.bind_endpoint(layout_.spe_ep(l),
-                              &pes_[topo_.global_pe(n, l)]->rx_port());
+            Pe& pe = *pes_[topo_.global_pe(n, l)];
+            fab.bind_endpoint(layout_.spe_ep(l), &pe.rx_port());
+            pe.attach_router(router);
         }
         fab.bind_endpoint(layout_.dse_ep(), &dses_[n].rx_port());
+        dses_[n].set_outlet(router);
         if (n == kMemoryNode) {
             fab.bind_endpoint(layout_.mem_ep(), &memif_->rx_port());
+            memif_->attach_router(router, layout_.mem_ep());
         }
         if (cfg_.nodes > 1) {
             fab.bind_endpoint(layout_.bridge_ep(),
@@ -149,9 +148,13 @@ Machine::Machine(MachineConfig cfg, isa::Program prog)
 
     // Scheduler list, in the seed's dependency order: fabric maturation
     // first, then the consumers of its deliveries (DSEs, memory interface,
-    // PEs), then the per-node injection engines.  Routers run in node
-    // order so a link delivery to a higher-numbered node is forwarded the
-    // same cycle, exactly as the seed's injection_phase did.
+    // PEs), which inject their own traffic at the end of their ticks, then
+    // the per-node ring bridges.  Every source endpoint has its own
+    // injection queue and only the fabric's tick, ahead of every producer,
+    // pops one, so a producer injecting at the end of its tick sees the
+    // queue the seed's injection_phase saw after every producer.  Routers
+    // run in node order so a link delivery to a higher-numbered node is
+    // forwarded the same cycle, exactly as the seed's injection_phase did.
     components_.reserve(2 * static_cast<std::size_t>(cfg_.nodes) + 1 +
                         pes_.size() + routers_.size());
     for (auto& fab : fabrics_) {
@@ -240,23 +243,22 @@ void Machine::attach_wakers() {
     // scheduler's dense-order rule decides whether the wake joins the
     // producer's cycle (producer index below consumer index — the dense
     // loop would tick the consumer later the same cycle) or the next one.
+    // Outboxes need no waker: their owners inject them in their own tick
+    // and stay armed for the next cycle while the fabric refuses, so an
+    // injection always wakes the fabric (list index below every producer)
+    // for the next cycle.
     for (std::uint16_t n = 0; n < cfg_.nodes; ++n) {
         const std::uint32_t router_idx = index_of(routers_[n].get());
         fabrics_[n].set_waker(&wheel_, index_of(&fabrics_[n]));
         dses_[n].rx_port().set_waker(&wheel_, index_of(&dses_[n]));
-        // Pull-model outboxes: the router drains them, so the router is the
-        // component a push must re-arm.
-        dses_[n].outbox_port().set_waker(&wheel_, router_idx);
         routers_[n]->arrivals_port().set_waker(&wheel_, router_idx);
         routers_[n]->bridge_out_port().set_waker(&wheel_, router_idx);
         for (std::uint16_t l = 0; l < cfg_.spes_per_node; ++l) {
             Pe& pe = *pes_[topo_.global_pe(n, l)];
             pe.rx_port().set_waker(&wheel_, index_of(&pe));
-            pe.outgoing_port().set_waker(&wheel_, router_idx);
         }
         if (n == kMemoryNode) {
             memif_->rx_port().set_waker(&wheel_, index_of(memif_.get()));
-            memif_->tx_port().set_waker(&wheel_, router_idx);
         }
     }
 }

@@ -3,6 +3,7 @@
 #include <string>
 #include <utility>
 
+#include "core/node_router.hpp"
 #include "core/wire.hpp"
 #include "sim/check.hpp"
 
@@ -104,7 +105,7 @@ void MemInterface::drain_responses() {
                 DTA_CHECK_MSG(false, "bad memory context kind");
         }
         ctxs_.release(resp.meta);
-        tx_.push(std::move(pkt));
+        tx_.push_back(std::move(pkt));
     }
 }
 
@@ -115,6 +116,13 @@ sim::Cycle MemInterface::tick(sim::Cycle now) {
     }
     mem_.tick(now);
     drain_responses();
+    // A refused response stays queued and counts one injection stall per
+    // blocked cycle.
+    if (router_ != nullptr) {
+        while (!tx_.empty() && router_->inject(ep_, tx_.front(), now)) {
+            tx_.pop_front();
+        }
+    }
     return next_activity(now);
 }
 
@@ -138,7 +146,7 @@ void MemInterface::save_state(sim::StateSink& s) const {
         k.u64(c.x);
     });
     rx_.save_state(s, noc::save_packet);
-    tx_.save_state(s, noc::save_packet);
+    sim::save_seq(s, tx_, noc::save_packet);
 }
 
 void MemInterface::load_state(sim::StateSource& s) {
@@ -149,7 +157,7 @@ void MemInterface::load_state(sim::StateSource& s) {
         c.x = k.u64();
     });
     rx_.load_state(s, noc::load_packet);
-    tx_.load_state(s, noc::load_packet);
+    sim::load_seq(s, tx_, noc::load_packet);
 }
 
 }  // namespace dta::core

@@ -5,9 +5,9 @@
 ///
 /// In the seed this logic lived as free-floating Machine methods
 /// (handle_memif_packet / drain_memory_responses) plus a hand-rolled
-/// context free-list.  It is now a Component with typed rx/tx ports: the
-/// fabric's memory endpoint binds to rx_port(), the node-0 router drains
-/// tx_port() into the fabric.
+/// context free-list.  It is now a Component: the fabric's memory endpoint
+/// binds to rx_port(), and tick() ends by injecting the response queue
+/// through the node-0 router.
 #pragma once
 
 #include <cstdint>
@@ -16,9 +16,12 @@
 #include "noc/packet.hpp"
 #include "sched/messages.hpp"
 #include "sim/component.hpp"
+#include "sim/fifo.hpp"
 #include "sim/port.hpp"
 
 namespace dta::core {
+
+class NodeRouter;
 
 class MemInterface final : public sim::Component {
 public:
@@ -29,13 +32,17 @@ public:
 
     /// The fabric's memory endpoint delivers here.
     [[nodiscard]] sim::Port<noc::Packet>& rx_port() { return rx_; }
-    /// Response packets ready for injection (drained by the node-0 router).
-    [[nodiscard]] sim::Port<noc::Packet>& tx_port() { return tx_; }
+    /// Binds the injection of response packets: \p router from fabric
+    /// endpoint \p ep.
+    void attach_router(NodeRouter* router, noc::EndpointId ep) {
+        router_ = router;
+        ep_ = ep;
+    }
 
     /// Decode rx packets into requests, advance the controller, package
-    /// completions.  Request decode runs before the controller tick, as in
-    /// the seed's route-then-tick ordering, so enqueue-to-service timing is
-    /// unchanged.
+    /// completions, inject them.  Request decode runs before the controller
+    /// tick, as in the seed's route-then-tick ordering, so
+    /// enqueue-to-service timing is unchanged.
     sim::Cycle tick(sim::Cycle now) override;
     [[nodiscard]] bool quiescent() const override;
     /// The horizon tick() returns.
@@ -67,7 +74,9 @@ private:
     mem::MainMemory& mem_;
     sim::Pool<MemCtx> ctxs_;
     sim::Port<noc::Packet> rx_;
-    sim::Port<noc::Packet> tx_;
+    sim::Fifo<noc::Packet> tx_;      ///< responses the fabric has not taken
+    NodeRouter* router_ = nullptr;   ///< wiring, not state
+    noc::EndpointId ep_ = 0;
 };
 
 }  // namespace dta::core

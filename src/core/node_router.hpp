@@ -1,42 +1,57 @@
 /// \file node_router.hpp
-/// \brief Per-node injection engine: drains every local producer (link
-///        arrivals, memory responses, DSE messages, PE traffic) into the
-///        node's bus fabric, and pumps the outbound ring link.
+/// \brief Per-node injection and ring bridge: the one place that routes a
+///        packet onto the node's bus fabric (rewriting cross-node traffic
+///        to the bridge), plus the pump from the bridge into the outbound
+///        ring link.
 ///
-/// This is the seed's Machine::injection_phase, one Component per node
-/// with its wiring (fabric, DSE, local PEs, memory interface, ring link,
-/// downstream arrivals port) fixed at construction instead of re-derived
-/// from machine-global state every cycle.  Routers are registered last and
+/// Producers inject themselves: each PE, the DSE and the memory interface
+/// drains its own outbox through inject() at the end of its own tick, so
+/// the router's tick is left with the ring: link arrivals, the bridge
+/// endpoint's outbound queue and the link itself.  On a single-node
+/// machine it has no work after cycle 0.  Routers are registered last and
 /// in node order, preserving the seed's same-cycle forwarding of link
 /// arrivals to higher-numbered nodes.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "core/mem_interface.hpp"
-#include "core/pe.hpp"
 #include "core/topology.hpp"
 #include "noc/interconnect.hpp"
 #include "noc/link.hpp"
-#include "sched/dse.hpp"
+#include "sched/messages.hpp"
 #include "sim/component.hpp"
 #include "sim/events.hpp"
 #include "sim/port.hpp"
 
 namespace dta::core {
 
-class NodeRouter final : public sim::Component {
+class NodeRouter final : public sim::Component, public sched::MsgOutlet {
 public:
-    /// \p memif is non-null only on the memory node; \p link is non-null
-    /// only in multi-node machines (the node's *outbound* ring link).
+    /// \p link is non-null only in multi-node machines (the node's
+    /// *outbound* ring link).
     NodeRouter(std::uint16_t node, std::uint16_t num_nodes,
                FabricLayout layout, noc::Interconnect& fabric,
-               sched::Dse& dse, std::vector<Pe*> local_pes,
-               MemInterface* memif, noc::Link* link);
+               noc::Link* link);
 
     NodeRouter(const NodeRouter&) = delete;
     NodeRouter& operator=(const NodeRouter&) = delete;
+
+    /// Routes \p pkt from local endpoint \p src onto this node's fabric,
+    /// moving from it only when the fabric accepts.  A refusal counts one
+    /// injection stall and leaves \p pkt as it was, so a queued packet
+    /// retries in place, uncopied.
+    [[nodiscard]] bool inject(noc::EndpointId src, noc::Packet& pkt,
+                              sim::Cycle now);
+    /// inject() for producers that wait for room instead of being refused
+    /// (PEs and the DSE): a full injection queue returns false without
+    /// counting a stall.
+    [[nodiscard]] bool inject_if_room(noc::EndpointId src, noc::Packet& pkt,
+                                      sim::Cycle now) {
+        return fabric_.can_inject(src) && inject(src, pkt, now);
+    }
+    /// The DSE's outlet: packages \p msg and injects it from the DSE
+    /// endpoint when there is room.
+    bool try_send(const sched::SchedMsg& msg, sim::Cycle now) override;
 
     /// The upstream node's link deliveries land here.
     [[nodiscard]] sim::Port<noc::Packet>& arrivals_port() { return arrivals_; }
@@ -65,19 +80,10 @@ public:
     void load_state(sim::StateSource& s) override;
 
 private:
-    /// Routes \p pkt onto this node's fabric, moving from it only when the
-    /// fabric accepts; a refused packet is left as it was, so queued
-    /// packets retry in place, uncopied.
-    [[nodiscard]] bool inject(noc::EndpointId src, noc::Packet& pkt,
-                              sim::Cycle now);
-
     std::uint16_t node_;
     std::uint16_t num_nodes_;
     FabricLayout layout_;
     noc::Interconnect& fabric_;
-    sched::Dse& dse_;
-    std::vector<Pe*> local_pes_;
-    MemInterface* memif_;                      ///< memory node only
     noc::Link* link_;                          ///< multi-node only
     sim::Port<noc::Packet>* forward_to_ = nullptr;
     sim::EventLog* events_ = nullptr;  ///< optional, machine-owned

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "core/node_router.hpp"
 #include "core/wire.hpp"
 #include "isa/alu.hpp"
 #include "sim/check.hpp"
@@ -38,11 +39,7 @@ Pe::Pe(const MachineConfig& cfg, const sched::Topology& topo,
 // Packet plumbing
 // ---------------------------------------------------------------------------
 
-void Pe::deliver(noc::Packet pkt) { inbox_.push(std::move(pkt)); }
-
-bool Pe::pop_outgoing(noc::Packet& out) { return outgoing_.pop(out); }
-
-void Pe::push_packet(noc::Packet pkt) { outgoing_.push(std::move(pkt)); }
+void Pe::push_packet(noc::Packet&& pkt) { outgoing_.push_back(std::move(pkt)); }
 
 void Pe::send_sched_msg(const sched::SchedMsg& msg) {
     const std::uint16_t own_node = topo_.node_of(self_);
@@ -121,6 +118,16 @@ sim::Cycle Pe::tick(sim::Cycle now) {
     tick_local_store(now);
     tick_units(now);
     tick_spu(now);
+    // Inject last, as the seed's injection phase did after every PE: the
+    // queue is this PE's alone and only the fabric's tick (earlier in the
+    // cycle) frees room, so the fabric sees the same traffic either way.
+    if (router_ != nullptr && !outgoing_.empty()) {
+        const noc::EndpointId ep = layout_.spe_ep(topo_.local_pe_of(self_));
+        while (!outgoing_.empty() &&
+               router_->inject_if_room(ep, outgoing_.front(), now)) {
+            outgoing_.pop_front();
+        }
+    }
     return next_activity(now);
 }
 
@@ -999,7 +1006,7 @@ void Pe::save_state(sim::StateSink& s) const {
     lse_.save_state(s);
     mfc_.save_state(s);
     inbox_.save_state(s, noc::save_packet);
-    outgoing_.save_state(s, noc::save_packet);
+    sim::save_seq(s, outgoing_, noc::save_packet);
     // SPU architectural state
     s.flag(bound_);
     s.u32(slot_);
@@ -1051,7 +1058,7 @@ void Pe::load_state(sim::StateSource& s) {
     lse_.load_state(s);
     mfc_.load_state(s);
     inbox_.load_state(s, noc::load_packet);
-    outgoing_.load_state(s, noc::load_packet);
+    sim::load_seq(s, outgoing_, noc::load_packet);
     bound_ = s.flag();
     slot_ = s.u32();
     code_id_ = s.u32();

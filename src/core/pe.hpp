@@ -27,10 +27,13 @@
 #include "sched/lse.hpp"
 #include "sim/component.hpp"
 #include "sim/events.hpp"
+#include "sim/fifo.hpp"
 #include "sim/log.hpp"
 #include "sim/port.hpp"
 
 namespace dta::core {
+
+class NodeRouter;
 
 /// One SPE of the machine.
 class Pe final : public sim::Component {
@@ -45,20 +48,15 @@ public:
     // ---- packet I/O (machine glue) --------------------------------------
     /// The fabric endpoint of this PE binds here.
     [[nodiscard]] sim::Port<noc::Packet>& rx_port() { return inbox_; }
-    /// Fabric delivered a packet addressed to this PE.
-    void deliver(noc::Packet pkt);
-    /// Pops the next packet this PE wants to inject, if any.
-    [[nodiscard]] bool pop_outgoing(noc::Packet& out);
-    [[nodiscard]] bool has_outgoing() const { return !outgoing_.empty(); }
-    /// The outgoing queue as a port, so the event-driven scheduler can bind
-    /// a waker to it (the node router sleeps until a packet shows up).
-    [[nodiscard]] sim::Port<noc::Packet>& outgoing_port() { return outgoing_; }
+    /// Binds the node's injection: tick() ends by moving the outgoing
+    /// queue onto the fabric through \p router while there is room.
+    void attach_router(NodeRouter* router) { router_ = router; }
 
     // ---- component interface ---------------------------------------------
-    /// One full PE cycle: local store, then units, then the SPU pipeline;
-    /// returns the horizon.  PEs share no intra-cycle state, so fusing the
-    /// three seed phases per-PE is cycle-equivalent to the seed's three
-    /// machine-wide loops.
+    /// One full PE cycle: local store, then units, then the SPU pipeline,
+    /// then injection of the outgoing queue; returns the horizon.  PEs
+    /// share no intra-cycle state, so fusing the seed phases per-PE is
+    /// cycle-equivalent to the seed's machine-wide loops.
     sim::Cycle tick(sim::Cycle now) override;
 
     /// Earliest cycle this PE (SPU + LS + LSE + MFC) could change state:
@@ -202,7 +200,7 @@ private:
                                                 std::uint32_t access_bytes) const;
 
     // packet plumbing
-    void push_packet(noc::Packet pkt);
+    void push_packet(noc::Packet&& pkt);
     void send_sched_msg(const sched::SchedMsg& msg);
     void pump_outgoing_producers();
     void apply_read_response(std::uint8_t rd, std::uint64_t value,
@@ -227,9 +225,10 @@ private:
     sched::Lse lse_;
     dma::Mfc mfc_;
 
-    // packet ports (rx bound to the fabric, tx drained by the node router)
+    // packet queues (rx bound to the fabric, outgoing injected by tick())
     sim::Port<noc::Packet> inbox_;
-    sim::Port<noc::Packet> outgoing_;
+    sim::Fifo<noc::Packet> outgoing_;
+    NodeRouter* router_ = nullptr;  ///< wiring, not state
     static constexpr std::size_t kOutgoingPullCap = 16;
 
     // SPU architectural state

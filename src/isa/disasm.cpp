@@ -5,7 +5,13 @@
 namespace dta::isa {
 namespace {
 
-std::string reg_str(std::uint8_t idx) { return "r" + std::to_string(idx); }
+std::string reg_str(std::uint8_t idx) {
+    // Appended, not "r" + ...: gcc 12 at -O3 flags the prepend with a
+    // false -Wrestrict.
+    std::string s = "r";
+    s += std::to_string(idx);
+    return s;
+}
 
 }  // namespace
 

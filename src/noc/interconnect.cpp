@@ -1,7 +1,6 @@
 #include "noc/interconnect.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <utility>
 
 #include "sim/audit.hpp"
@@ -32,6 +31,36 @@ std::uint32_t Interconnect::transfer_cycles(const Packet& pkt) const {
     return (sz + cfg_.bytes_per_cycle - 1) / cfg_.bytes_per_cycle;
 }
 
+Interconnect::Lane& Interconnect::lane_for(std::uint32_t occupancy) {
+    for (Lane& lane : lanes_) {
+        if (lane.occupancy == occupancy) {
+            return lane;
+        }
+    }
+    lanes_.emplace_back().occupancy = occupancy;
+    return lanes_.back();
+}
+
+std::size_t Interconnect::earliest_lane() const {
+    std::size_t best = lanes_.size();
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+        if (lanes_[i].q.empty()) {
+            continue;
+        }
+        const InTransit& head = lanes_[i].q.front();
+        if (best == lanes_.size()) {
+            best = i;
+            continue;
+        }
+        const InTransit& top = lanes_[best].q.front();
+        if (head.deliver_at < top.deliver_at ||
+            (head.deliver_at == top.deliver_at && head.seq < top.seq)) {
+            best = i;
+        }
+    }
+    return best;
+}
+
 bool Interconnect::can_inject(EndpointId src) const {
     DTA_CHECK(src < inject_.size());
     return inject_[src].size() < cfg_.inject_queue_depth;
@@ -56,19 +85,22 @@ bool Interconnect::try_inject(EndpointId src, Packet& pkt, sim::Cycle now) {
 }
 
 std::size_t Interconnect::pending() const {
-    return in_transit_.size() + inject_pending_ + inbox_pending_;
+    return in_transit_ + inject_pending_ + inbox_pending_;
 }
 
 sim::Cycle Interconnect::tick(sim::Cycle now) {
-    if (inject_pending_ == 0 && in_transit_.empty()) {
+    if (inject_pending_ == 0 && in_transit_ == 0) {
         // Empty fabric: nothing to mature, nothing to grant.
         return next_activity(now);
     }
-    // 1. Mature in-flight packets into destination inboxes.
-    while (!in_transit_.empty() && in_transit_.front().deliver_at <= now) {
-        std::pop_heap(in_transit_.begin(), in_transit_.end(),
-                      std::greater<>());
-        Packet& pkt = in_transit_.back().pkt;
+    // 1. Mature in-flight packets into destination inboxes, earliest lane
+    //    head first.
+    while (in_transit_ != 0) {
+        sim::Fifo<InTransit>& lane = lanes_[earliest_lane()].q;
+        if (lane.front().deliver_at > now) {
+            break;
+        }
+        Packet& pkt = lane.front().pkt;
         if (pkt_latency_ != nullptr) {
             pkt_latency_->record(now - pkt.enq_at);
         }
@@ -78,7 +110,8 @@ sim::Cycle Interconnect::tick(sim::Cycle now) {
             inbox_[pkt.dst].push_back(std::move(pkt));
             ++inbox_pending_;
         }
-        in_transit_.pop_back();
+        lane.pop_front();
+        --in_transit_;
         ++stats_.packets_delivered;
     }
 
@@ -99,17 +132,16 @@ sim::Cycle Interconnect::tick(sim::Cycle now) {
             if (inject_[ep].empty()) {
                 continue;
             }
-            Packet pkt = std::move(inject_[ep].front());
-            inject_[ep].pop_front();
-            --inject_pending_;
+            Packet& pkt = inject_[ep].front();
             const std::uint32_t occupancy = transfer_cycles(pkt);
             bus_free_at_[bus] = now + occupancy;
             stats_.bus_busy_cycles += occupancy;
             stats_.bytes_transferred += pkt.size_bytes;
-            in_transit_.push_back(InTransit{
-                now + occupancy + cfg_.hop_latency, seq_++, std::move(pkt)});
-            std::push_heap(in_transit_.begin(), in_transit_.end(),
-                           std::greater<>());
+            lane_for(occupancy).q.emplace_back(
+                now + occupancy + cfg_.hop_latency, seq_++, std::move(pkt));
+            ++in_transit_;
+            inject_[ep].pop_front();
+            --inject_pending_;
             rr_next_ = ep + 1 == n ? 0 : ep + 1;
             granted = true;
             break;
@@ -160,16 +192,37 @@ void Interconnect::audit(const sim::AuditCtx& ctx) const {
                      " but the inboxes hold " + std::to_string(undelivered) +
                      " packets");
     }
+    std::size_t on_bus = 0;
+    for (const Lane& lane : lanes_) {
+        on_bus += lane.q.size();
+        const InTransit* prev = nullptr;
+        for (const InTransit& it : lane.q) {
+            if (prev != nullptr &&
+                (it.deliver_at < prev->deliver_at || it.seq <= prev->seq)) {
+                ctx.fail("packet-conservation",
+                         "the " + std::to_string(lane.occupancy) +
+                             "-cycle lane is out of (deliver_at, seq) order "
+                             "at seq " + std::to_string(it.seq));
+            }
+            prev = &it;
+        }
+    }
+    if (on_bus != in_transit_) {
+        ctx.fail("packet-conservation",
+                 "in_transit says " + std::to_string(in_transit_) +
+                     " but the lanes hold " + std::to_string(on_bus) +
+                     " packets");
+    }
     // Conservation: a packet is counted delivered when it matures into a
     // sink or inbox, so injected must equal delivered plus what is still on
     // a bus or waiting for one.
     if (stats_.packets_injected !=
-        stats_.packets_delivered + in_transit_.size() + inject_pending_) {
+        stats_.packets_delivered + in_transit_ + inject_pending_) {
         ctx.fail("packet-conservation",
                  "injected " + std::to_string(stats_.packets_injected) +
                      " != delivered " +
                      std::to_string(stats_.packets_delivered) +
-                     " + on-bus " + std::to_string(in_transit_.size()) +
+                     " + on-bus " + std::to_string(in_transit_) +
                      " + queued " + std::to_string(inject_pending_));
     }
 }
@@ -181,15 +234,21 @@ void Interconnect::save_state(sim::StateSink& s) const {
     for (const sim::Cycle free_at : bus_free_at_) {
         s.u64(free_at);
     }
-    // Entries go out in (deliver_at, seq) order, independent of the heap's
-    // internal layout; load_state re-pushes them verbatim.
+    // Entries go out merged across lanes in (deliver_at, seq) order;
+    // load_state deals them back into their lanes in that order.
     std::vector<const InTransit*> order;
-    order.reserve(in_transit_.size());
-    for (const InTransit& it : in_transit_) {
-        order.push_back(&it);
+    order.reserve(in_transit_);
+    for (const Lane& lane : lanes_) {
+        for (const InTransit& it : lane.q) {
+            order.push_back(&it);
+        }
     }
     std::sort(order.begin(), order.end(),
-              [](const InTransit* x, const InTransit* y) { return *y > *x; });
+              [](const InTransit* x, const InTransit* y) {
+                  return x->deliver_at != y->deliver_at
+                             ? x->deliver_at < y->deliver_at
+                             : x->seq < y->seq;
+              });
     s.u64(order.size());
     for (const InTransit* it : order) {
         s.u64(it->deliver_at);
@@ -217,16 +276,25 @@ void Interconnect::load_state(sim::StateSource& s) {
     for (sim::Cycle& free_at : bus_free_at_) {
         free_at = s.u64();
     }
-    DTA_CHECK(in_transit_.empty());
+    DTA_CHECK(in_transit_ == 0);
     const std::uint64_t n = s.u64();
+    sim::Cycle prev_at = 0;
+    std::uint64_t prev_seq = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
         InTransit it;
         it.deliver_at = s.u64();
         it.seq = s.u64();
         load_packet(s, it.pkt);
-        in_transit_.push_back(std::move(it));
-        std::push_heap(in_transit_.begin(), in_transit_.end(),
-                       std::greater<>());
+        // save_state writes (deliver_at, seq) order, which keeps each lane
+        // sorted; anything else is a damaged section.
+        DTA_SIM_REQUIRE(i == 0 || it.deliver_at > prev_at ||
+                            (it.deliver_at == prev_at && it.seq > prev_seq),
+                        "snapshot fabric section: on-bus packets out of "
+                        "(deliver_at, seq) order");
+        prev_at = it.deliver_at;
+        prev_seq = it.seq;
+        lane_for(transfer_cycles(it.pkt)).q.push_back(std::move(it));
+        ++in_transit_;
     }
     inbox_pending_ = 0;
     for (auto& q : inbox_) {
@@ -243,7 +311,7 @@ void Interconnect::load_state(sim::StateSource& s) {
 }
 
 bool Interconnect::quiescent() const {
-    return in_transit_.empty() && inject_pending_ == 0 && inbox_pending_ == 0;
+    return in_transit_ == 0 && inject_pending_ == 0 && inbox_pending_ == 0;
 }
 
 sim::Cycle Interconnect::next_activity(sim::Cycle now) const {
@@ -253,8 +321,9 @@ sim::Cycle Interconnect::next_activity(sim::Cycle now) const {
     if (inbox_pending_ != 0) {
         return now + 1;
     }
-    if (!in_transit_.empty()) {
-        h = std::min(h, std::max(in_transit_.front().deliver_at, now + 1));
+    if (in_transit_ != 0) {
+        const sim::Cycle at = lanes_[earliest_lane()].q.front().deliver_at;
+        h = std::min(h, std::max(at, now + 1));
     }
     if (inject_pending_ != 0) {
         sim::Cycle grant = sim::kIdleForever;

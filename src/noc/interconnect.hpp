@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "noc/packet.hpp"
@@ -100,7 +101,8 @@ public:
 
     /// Invariant audit (sim/audit.hpp): packet conservation — every packet
     /// injected is either delivered, on a bus, or still queued, and the
-    /// aggregate injection counter matches the per-endpoint queues.
+    /// aggregate injection counter matches the per-endpoint queues — and
+    /// every on-bus lane in (deliver_at, seq) order.
     /// Read-only; reports violations through \p ctx.
     void audit(const sim::AuditCtx& ctx) const;
 
@@ -114,29 +116,43 @@ public:
     // --- checkpoint/restore -------------------------------------------------
     /// Serializes queued, on-bus, and delivered-but-unfetched packets plus
     /// arbitration cursors and statistics.  In-transit packets are written
-    /// in (deliver_at, seq) order, so the section is canonical.
+    /// in (deliver_at, seq) order across all lanes, so the section is
+    /// canonical.
     void save_state(sim::StateSink& s) const override;
     void load_state(sim::StateSource& s) override;
 
 private:
     struct InTransit {
+        InTransit() = default;
+        InTransit(sim::Cycle at, std::uint64_t s, Packet&& p)
+            : deliver_at(at), seq(s), pkt(std::move(p)) {}
         sim::Cycle deliver_at = 0;
         std::uint64_t seq = 0;  ///< tie-break for deterministic ordering
         Packet pkt;
-        friend bool operator>(const InTransit& x, const InTransit& y) {
-            if (x.deliver_at != y.deliver_at) return x.deliver_at > y.deliver_at;
-            return x.seq > y.seq;
-        }
+    };
+    /// The packets on a bus that share one transfer time, in grant order.
+    /// Grants come at non-decreasing cycles with rising seq, and a lane's
+    /// deliver_at is the grant cycle plus a constant, so every lane is
+    /// sorted by (deliver_at, seq) and its head is its earliest delivery.
+    struct Lane {
+        std::uint32_t occupancy = 0;  ///< transfer cycles of its packets
+        sim::Fifo<InTransit> q;
     };
 
     [[nodiscard]] std::uint32_t transfer_cycles(const Packet& pkt) const;
+    /// The lane of \p occupancy-cycle transfers, created on first use.
+    [[nodiscard]] Lane& lane_for(std::uint32_t occupancy);
+    /// Index of the lane whose head delivers first in (deliver_at, seq)
+    /// order; lanes_.size() when no packet is on a bus.
+    [[nodiscard]] std::size_t earliest_lane() const;
 
     InterconnectConfig cfg_;
     std::vector<sim::Fifo<Packet>> inject_;    ///< per-endpoint injection queues
     std::vector<sim::Cycle> bus_free_at_;      ///< per-bus availability
-    /// Min-heap on (deliver_at, seq) under std::push_heap/std::pop_heap, so
-    /// a matured packet can be moved out of the back instead of copied.
-    std::vector<InTransit> in_transit_;
+    /// On-bus packets, one FIFO lane per transfer time: delivery merges the
+    /// lane heads, so no packet moves until it matures.
+    std::vector<Lane> lanes_;
+    std::size_t in_transit_ = 0;               ///< packets across lanes_
     std::vector<sim::Fifo<Packet>> inbox_;     ///< per-endpoint delivered packets
     std::vector<sim::Port<Packet>*> sinks_;    ///< per-endpoint bound consumers
     std::size_t rr_next_ = 0;

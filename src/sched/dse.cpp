@@ -30,6 +30,10 @@ sim::Cycle Dse::tick(sim::Cycle now) {
                                          std::to_string(pkt.kind));
         }
     }
+    while (outlet_ != nullptr && !outbox_.empty() &&
+           outlet_->try_send(outbox_.front(), now)) {
+        outbox_.pop_front();
+    }
     return next_activity(now);
 }
 
@@ -52,7 +56,7 @@ bool Dse::try_grant(const Pending& req) {
         msg.a = req.code;
         msg.b = req.sc;
         msg.c = req.ctx.pack();
-        outbox_.push(msg);
+        outbox_.push_back(msg);
         ++stats_.granted_local;
         return true;
     }
@@ -77,7 +81,7 @@ void Dse::on_falloc_req(std::uint64_t code, std::uint32_t sc, FallocCtx ctx,
         msg.a = req.code;
         msg.b = req.sc;
         msg.c = req.ctx.pack();
-        outbox_.push(msg);
+        outbox_.push_back(msg);
         ++stats_.forwarded;
         return;
     }
@@ -129,7 +133,7 @@ void Dse::save_state(sim::StateSink& s) const {
         k.u64(p.ctx.pack());
         k.u64(p.queued_at);
     });
-    outbox_.save_state(s, save_sched_msg);
+    sim::save_seq(s, outbox_, save_sched_msg);
     s.u16(rr_next_);
     s.u64(stats_.requests);
     s.u64(stats_.granted_local);
@@ -148,7 +152,7 @@ void Dse::load_state(sim::StateSource& s) {
         p.ctx = FallocCtx::unpack(k.u64());
         p.queued_at = k.u64();
     });
-    outbox_.load_state(s, load_sched_msg);
+    sim::load_seq(s, outbox_, load_sched_msg);
     rr_next_ = s.u16();
     stats_.requests = s.u64();
     stats_.granted_local = s.u64();

@@ -51,8 +51,13 @@ public:
     [[nodiscard]] sim::Port<noc::Packet>& rx_port() { return rx_; }
 
     /// Drains the rx port: kFallocReq and kFrameFree packets delivered by
-    /// the fabric this cycle are decoded and handled.  Returns the horizon.
+    /// the fabric this cycle are decoded and handled, then the outbox is
+    /// sent through the outlet.  Returns the horizon.
     sim::Cycle tick(sim::Cycle now) override;
+
+    /// Binds the node's fabric injection; without one (unit tests) the
+    /// outbox only drains through pop_outgoing().
+    void set_outlet(MsgOutlet* outlet) { outlet_ = outlet; }
 
     /// Handles a kFallocReq (from a local LSE or a remote DSE); \p now
     /// stamps requests that park so their queue wait can be measured.
@@ -72,10 +77,6 @@ public:
     /// Drains one outgoing message (kFallocFwd to a local LSE, or a
     /// kFallocReq forwarded to the next node's DSE).
     [[nodiscard]] bool pop_outgoing(SchedMsg& out);
-    [[nodiscard]] bool has_outgoing() const { return !outbox_.empty(); }
-    /// The outbox as a port, so the event-driven scheduler can bind a waker
-    /// to it (the node router sleeps until a message shows up).
-    [[nodiscard]] sim::Port<SchedMsg>& outbox_port() { return outbox_; }
 
     /// Requests parked waiting for a free frame.
     [[nodiscard]] std::size_t pending() const { return pending_.size(); }
@@ -83,8 +84,9 @@ public:
         return pending_.empty() && outbox_.empty() && rx_.empty();
     }
 
-    /// Horizon: undelivered rx packets and undrained outbox messages need a
-    /// next-cycle retry; parked requests wait on an external kFrameFree.
+    /// Horizon: undelivered rx packets and outbox messages the fabric
+    /// refused need a next-cycle retry; parked requests wait on an external
+    /// kFrameFree.
     [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) const {
         return (!rx_.empty() || !outbox_.empty()) ? now + 1
                                                   : sim::kIdleForever;
@@ -124,7 +126,8 @@ private:
     sim::Port<noc::Packet> rx_;        ///< fabric DSE-endpoint deliveries
     std::vector<std::uint32_t> free_;  ///< free-frame count per local PE
     sim::Fifo<Pending> pending_;
-    sim::Port<SchedMsg> outbox_;
+    sim::Fifo<SchedMsg> outbox_;
+    MsgOutlet* outlet_ = nullptr;  ///< wiring, not state
     std::uint16_t rr_next_ = 0;
     DseStats stats_;
     sim::Histogram* queue_wait_ = nullptr;  ///< null when metrics are off

@@ -137,6 +137,17 @@ struct SchedMsg {
     std::uint64_t c = 0;
 };
 
+/// Where a scheduler element's outbox drains: the node's fabric
+/// injection, bound once at machine construction (the scheduler layer
+/// knows nothing of the fabric's endpoint layout).
+class MsgOutlet {
+public:
+    virtual ~MsgOutlet() = default;
+    /// Sends \p msg at cycle \p now; false, with nothing sent, when the
+    /// sender's injection queue is full.
+    virtual bool try_send(const SchedMsg& msg, sim::Cycle now) = 0;
+};
+
 /// Checkpoint serialization of a queued scheduler message.
 inline void save_sched_msg(sim::StateSink& s, const SchedMsg& m) {
     s.u16(static_cast<std::uint16_t>(m.kind));

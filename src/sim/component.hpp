@@ -56,9 +56,10 @@
 ///  1. The horizon must cover every queue whose *drain* the component
 ///     performs, even queues filled by other components mid-cycle: after
 ///     the wake delivers the first visit, the component's own horizon keeps
-///     it hot until the queue empties (rule 1 above). A pull-model queue
-///     examined in tick() but owned by another object (e.g. a router
-///     draining its node's outboxes) counts as "its" queue here.
+///     it hot until the queue empties (rule 1 above). An outbox the
+///     component pushes to another component from its own tick, retrying
+///     while the receiver refuses (e.g. a PE injecting into its node's
+///     fabric), counts too, and needs no waker: only the owner fills it.
 ///  2. A sleeping component's accounting is applied lazily: when a wake or
 ///     re-arm lands it at cycle `h`, the wheel first calls
 ///     `skip(acct, h)` for the slept span and only then `tick(h)`. skip()

@@ -39,11 +39,13 @@ class Waker {
 template <typename T>
 class Port {
  public:
-    void push(T v) {
+    void push(T&& v) {
         q_.push_back(std::move(v));
-        if (waker_ != nullptr) {
-            waker_->wake(waker_comp_);
-        }
+        notify();
+    }
+    void push(const T& v) {
+        q_.push_back(v);
+        notify();
     }
 
     /// Routes push notifications to \p w as scheduler entry \p component.
@@ -90,6 +92,12 @@ class Port {
     }
 
  private:
+    void notify() {
+        if (waker_ != nullptr) {
+            waker_->wake(waker_comp_);
+        }
+    }
+
     Fifo<T> q_;
     Waker* waker_ = nullptr;
     std::uint32_t waker_comp_ = 0;

@@ -181,6 +181,17 @@ TEST(FastForward, ZoomExactFourNodes) {
     expect_wheel_exact(zoom_workload(), workloads::Zoom::machine_config(8), 4);
 }
 
+// Two nodes, one bus and one injection slot per endpoint: producers are
+// refused often (the memory interface counts stalls, PEs and DSEs wait for
+// room) and link arrivals retry at the bridge, so every injection retry
+// path must be as exact under the wheel as the unblocked traffic.
+TEST(FastForward, BitcntExactTwoNodesUnderInjectionBackPressure) {
+    MachineConfig cfg = workloads::BitCount::machine_config(8);
+    cfg.noc.num_buses = 1;
+    cfg.noc.inject_queue_depth = 1;
+    expect_wheel_exact(bitcnt_workload(), cfg, 2);
+}
+
 // 8 nodes x 8 SPEs: 8 fabrics + 8 DSEs + the memory interface + 64 PEs + 8
 // routers = 89 scheduler entries, so the wheel's visit sets span two 64-bit
 // words and same-cycle wakes cross the word boundary.

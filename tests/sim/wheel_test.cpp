@@ -23,6 +23,14 @@
 namespace dta::sim {
 namespace {
 
+/// "<prefix><i>", appended rather than prefix + std::to_string(i): gcc 12
+/// at -O3 flags the prepend with a false -Wrestrict.
+std::string numbered(const char* prefix, std::uint32_t i) {
+    std::string s = prefix;
+    s += std::to_string(i);
+    return s;
+}
+
 /// One visit: the cycle and the component ticked.
 struct Visit {
     Cycle cycle = 0;
@@ -35,7 +43,7 @@ struct Visit {
 class Mock final : public Component {
 public:
     Mock(std::uint32_t id, std::vector<Visit>* log)
-        : Component("m" + std::to_string(id)), id_(id), log_(log) {}
+        : Component(numbered("m", id)), id_(id), log_(log) {}
 
     Cycle tick(Cycle now) override {
         log_->push_back({now, id_});
