@@ -75,7 +75,7 @@ void Pe::send_sched_msg(const sched::SchedMsg& msg) {
 }
 
 void Pe::pump_outgoing_producers() {
-    while (outgoing_.size() < kOutgoingPullCap) {
+    while (outgoing_.size() < kOutgoingCap) {
         sched::SchedMsg msg;
         if (lse_.pop_outgoing(msg)) {
             send_sched_msg(msg);
@@ -373,7 +373,7 @@ Pe::IssueCheck Pe::can_issue(const Instruction& ins, sim::Cycle now) const {
         case Opcode::kStoreX: {
             const auto h = sim::FrameHandle::unpack(reg(ins.rb));
             if (h.global_pe != self_ &&
-                outgoing_.size() >= kOutgoingPullCap) {
+                outgoing_.size() >= kOutgoingCap) {
                 return {false, as_pf(CycleBucket::kLseStall)};
             }
             break;

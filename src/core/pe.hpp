@@ -229,7 +229,7 @@ private:
     sim::Port<noc::Packet> inbox_;
     sim::Fifo<noc::Packet> outgoing_;
     NodeRouter* router_ = nullptr;  ///< wiring, not state
-    static constexpr std::size_t kOutgoingPullCap = 16;
+    static constexpr std::size_t kOutgoingCap = 16;
 
     // SPU architectural state
     bool bound_ = false;

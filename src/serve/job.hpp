@@ -3,7 +3,7 @@
 ///        runnable, cache-keyed unit of work.
 ///
 /// A job names either one of the paper workloads (`mmul`, `zoom`,
-/// `bitcnt` — with the same `ci`/`paper` scale presets dta_bench uses, and
+/// `bitcnt` — with a small `ci` and a full `paper` scale preset each, and
 /// per-parameter overrides) or a raw DTA assembly program (`asm`, inline
 /// text or a file path).  Machine shape overrides mirror dta_run's flags.
 /// Optionally a job warm-starts from a `.dtasnap` snapshot instead of

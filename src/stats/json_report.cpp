@@ -256,7 +256,7 @@ std::string run_report_json(const core::RunResult& r,
         os << "\n  },\n";
     }
 
-    // Host-side scheduler counters: opt-in (dta_run/dta_bench trend
+    // Host-side scheduler counters: opt-in (dta_run --metrics trend
     // tracking) and, like host_profile, never part of any byte-identity
     // comparison — the wheel stats differ between wheel and dense runs of
     // the same machine.

@@ -1,14 +1,14 @@
 /// \file json_value.hpp
 /// \brief A small owning JSON document model with a recursive-descent
 ///        parser — the read side that stats/json_report.hpp (write-only)
-///        never needed until dta_benchdiff had to *consume* bench reports.
+///        never needed until the serve wire protocol had to *consume* JSON.
 ///
 /// Scope is deliberately narrow: UTF-8 pass-through, numbers as double
 /// (with the exact integer range of double, plenty for ns counts and
 /// cycle totals), objects as ordered key/value vectors preserving input
 /// order.
 ///
-/// The parser is strict — it now also fronts the serve wire protocol
+/// The parser is strict — it fronts the serve wire protocol
 /// (src/serve/), which makes its input attacker-adjacent for the first
 /// time: trailing garbage after the top-level value, duplicate object
 /// keys (previously resolved to the first occurrence, silently), and

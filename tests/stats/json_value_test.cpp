@@ -1,4 +1,4 @@
-// The strict JSON parser behind bench files and the serve wire protocol:
+// The strict JSON parser behind the serve wire protocol:
 // hardened grammar (trailing garbage, duplicate keys, non-grammar
 // numbers are hard errors) and the dump_json round trip the serve client
 // relies on to canonicalise user job specs.
@@ -90,6 +90,52 @@ TEST(JsonFind, KindFilteredLookup) {
     // find() on a non-object returns null instead of asserting, so
     // lookups chain without intermediate checks.
     EXPECT_EQ(JsonValue::make_number(1).find("x"), nullptr);
+}
+
+TEST(JsonValue, ParsesScalarsContainersAndEscapes) {
+    const JsonParseResult r = parse_json(
+        R"({"s": "a\"b\nA", "n": -2.5e2, "t": true, "f": false,
+            "z": null, "arr": [1, [2]], "obj": {"k": 3}})");
+    ASSERT_TRUE(r.ok) << r.error;
+    const JsonValue& v = r.value;
+    EXPECT_EQ(v.find("s")->as_string(), "a\"b\nA");
+    EXPECT_DOUBLE_EQ(v.find("n")->as_number(), -250.0);
+    EXPECT_TRUE(v.find("t")->as_bool());
+    EXPECT_FALSE(v.find("f")->as_bool());
+    EXPECT_TRUE(v.find("z")->is_null());
+    ASSERT_EQ(v.find("arr")->items().size(), 2u);
+    EXPECT_DOUBLE_EQ(v.find("arr")->items()[1].items()[0].as_number(), 2.0);
+    EXPECT_DOUBLE_EQ(v.find("obj")->find("k")->as_number(), 3.0);
+    EXPECT_EQ(v.find("missing"), nullptr);
+    // Kind-filtered lookup.
+    EXPECT_EQ(v.find("s", JsonValue::Kind::kNumber), nullptr);
+    EXPECT_NE(v.find("n", JsonValue::Kind::kNumber), nullptr);
+}
+
+TEST(JsonValue, RejectsMalformedInput) {
+    EXPECT_FALSE(parse_json("").ok);
+    EXPECT_FALSE(parse_json("{").ok);
+    EXPECT_FALSE(parse_json("[1,]").ok);
+    EXPECT_FALSE(parse_json("{\"a\": 1,}").ok);
+    EXPECT_FALSE(parse_json("\"unterminated").ok);
+    EXPECT_FALSE(parse_json("truish").ok);
+    EXPECT_FALSE(parse_json("1 2").ok);  // trailing garbage
+    EXPECT_FALSE(parse_json("{\"a\" 1}").ok);
+    const JsonParseResult r = parse_json("[1, nope]");
+    EXPECT_FALSE(r.ok);
+    EXPECT_FALSE(r.error.empty());
+}
+
+TEST(JsonValue, DepthIsBounded) {
+    std::string deep;
+    for (int i = 0; i < 200; ++i) {
+        deep += '[';
+    }
+    deep += '1';
+    for (int i = 0; i < 200; ++i) {
+        deep += ']';
+    }
+    EXPECT_FALSE(parse_json(deep).ok);  // kMaxDepth = 128
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 ///        main (bench/bench_util.hpp).
 ///
 /// Before this header, every tool parsed flag values with std::atoi /
-/// std::strtoull and no error checking: `--repeats foo` silently became 0,
+/// std::strtoull and no error checking: `--seeds foo` silently became 0,
 /// and `--spes 99999` silently truncated through a uint16_t
 /// cast to 34463.  Each parser here demands a full-string match (base 10,
 /// or 0x-prefixed hex for the flags that document it), range-checks the
@@ -63,31 +63,6 @@ template <typename T>
                            const char* text, std::uint64_t lo = 0,
                            std::uint64_t hi = std::numeric_limits<T>::max()) {
     return static_cast<T>(parse_u64(argv0, flag, text, lo, hi));
-}
-
-/// Checked double parse: full-string match, finite, within [lo, hi].
-inline double parse_double(const char* argv0, const char* flag,
-                           const char* text, double lo, double hi) {
-    if (text == nullptr || *text == '\0') {
-        bad_value(argv0, flag, text, "empty value");
-    }
-    if (std::isspace(static_cast<unsigned char>(*text)) != 0) {
-        bad_value(argv0, flag, text, "not a number");
-    }
-    errno = 0;
-    char* end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0' || errno == ERANGE ||
-        !(v >= -std::numeric_limits<double>::max() &&
-          v <= std::numeric_limits<double>::max())) {
-        bad_value(argv0, flag, text, "not a number");
-    }
-    if (v < lo || v > hi) {
-        char buf[64];
-        std::snprintf(buf, sizeof buf, "out of range [%g, %g]", lo, hi);
-        bad_value(argv0, flag, text, buf);
-    }
-    return v;
 }
 
 }  // namespace dta::cli
