@@ -183,24 +183,16 @@ Machine::Machine(MachineConfig cfg, isa::Program prog)
     }
 
     if (cfg_.collect_metrics) {
-        DTA_SIM_REQUIRE(cfg_.metrics_sample_interval > 0,
-                        "metrics_sample_interval must be non-zero");
         metrics_.enable();
         for (auto& pe : pes_) {
             pe->attach_metrics(metrics_, &dma_spans_);
         }
-        g_noc_pending_.reserve(fabrics_.size());
-        for (std::size_t n = 0; n < fabrics_.size(); ++n) {
-            fabrics_[n].attach_metrics(metrics_);
-            g_noc_pending_.push_back(
-                metrics_.gauge("noc" + std::to_string(n) + ".pending"));
+        for (auto& fab : fabrics_) {
+            fab.attach_metrics(metrics_);
         }
         for (auto& dse : dses_) {
             dse.attach_metrics(metrics_);
         }
-        g_dma_cmds_ = metrics_.gauge("dma.commands_in_flight");
-        g_dma_lines_ = metrics_.gauge("dma.lines_in_flight");
-        g_mem_queue_ = metrics_.gauge("mem.queue_depth");
     }
 
     if (cfg_.audit.enabled) {
@@ -211,12 +203,6 @@ Machine::Machine(MachineConfig cfg, isa::Program prog)
 
     if (cfg_.telemetry.enabled) {
         telemetry_ = std::make_unique<sim::TelemetrySampler>(cfg_.telemetry);
-        telemetry_->set_stall_info([this](sim::TelemetryStall& s) {
-            s.components = non_quiescent_names();
-            if (!last_ckpt_path_.empty()) {
-                s.replay = replay_hint_ + " --restore " + last_ckpt_path_;
-            }
-        });
     }
 
     if (cfg_.profile) {
@@ -511,7 +497,6 @@ void structural_config_echo(sim::StateSink& s, const MachineConfig& cfg,
     s.u64(cfg.no_progress_limit);
     s.flag(cfg.capture_spans);
     s.flag(cfg.collect_metrics);
-    s.u32(cfg.metrics_sample_interval);
     s.flag(cfg.collect_events);
     // Program digest: a snapshot must never be resumed under a different
     // program (thread state embeds instruction pointers).
@@ -738,13 +723,6 @@ inline void prof_charge(sim::ProfBuffer* pb, std::uint64_t& t,
 
 void Machine::observe_cycle(sim::Cycle now, std::uint64_t& t) {
     sim::ProfBuffer* const pb = prof();
-    if (metrics_.enabled() && now % cfg_.metrics_sample_interval == 0) {
-        sample_gauges(now);
-        if (pb != nullptr) {
-            prof_charge(pb, t, sim::ProfBuffer::kLoopSlot,
-                        sim::ProfPhase::kSample);
-        }
-    }
     if (telemetry_ != nullptr && now == telemetry_next_) {
         capture_telemetry(now);
         if (pb != nullptr) {
@@ -764,10 +742,7 @@ void Machine::observe_cycle(sim::Cycle now, std::uint64_t& t) {
     }
 }
 
-void Machine::capture_telemetry(sim::Cycle now) {
-    if (telemetry_ == nullptr) {
-        return;
-    }
+sim::TelemetryFrame Machine::sample_frame(sim::Cycle now) const {
     sim::TelemetryFrame f;
     f.cycle = now;
     for (const auto& pe : pes_) {
@@ -786,39 +761,28 @@ void Machine::capture_telemetry(sim::Cycle now) {
     for (const auto& fab : fabrics_) {
         f.noc_pending += static_cast<std::uint32_t>(fab.pending());
     }
-    f.activity_fp = fingerprint();
+    return f;
+}
+
+void Machine::capture_telemetry(sim::Cycle now) {
+    if (telemetry_ == nullptr) {
+        return;
+    }
+    sim::TelemetryFrame f = sample_frame(now);
     telemetry_next_ = now + cfg_.telemetry.interval;
     // Host-side tail (NDJSON stream / Perfetto only; never the JSON report).
     f.host_ns = sim::prof_now_ns();
     if (wheel_.started()) {
         f.wheel_armed = wheel_.armed();
         f.wheel_pops = wheel_.stats().pops;
-    }
-    telemetry_->record(f, check_quiescent());
-}
-
-void Machine::sample_gauges(sim::Cycle now) {
-    std::int64_t cmds = 0;
-    std::int64_t lines = 0;
-    for (const auto& pe : pes_) {
-        cmds += static_cast<std::int64_t>(pe->mfc().commands_in_flight());
-        lines += static_cast<std::int64_t>(pe->mfc().lines_in_flight());
-    }
-    g_dma_cmds_->sample(now, cmds);
-    g_dma_lines_->sample(now, lines);
-    g_mem_queue_->sample(now, static_cast<std::int64_t>(mem_.queue_depth()));
-    for (std::size_t n = 0; n < fabrics_.size(); ++n) {
-        g_noc_pending_[n]->sample(
-            now, static_cast<std::int64_t>(fabrics_[n].pending()));
+        f.wheel_inserts = wheel_.stats().inserts;
     }
     if (sim::ProfBuffer* const pb = prof()) {
-        // Cumulative phase totals at the gauge cadence: the host counter
+        // Cumulative phase totals at the frame cadence: the host counter
         // tracks rendered next to the simulated Perfetto tracks.
         pb->snapshot(now);
     }
-    if (wheel_.started()) {
-        wheel_.sample(now);
-    }
+    telemetry_->record(f);
 }
 
 bool Machine::check_quiescent() const {
@@ -856,23 +820,41 @@ std::string Machine::non_quiescent_names() const {
 }
 
 void Machine::throw_deadlock(sim::Cycle now, sim::Cycle stalled,
-                             bool idle_forever) const {
+                             bool idle_forever) {
+    sim::TelemetryStall stall;
+    stall.cycle = now;
+    stall.stalled_cycles = stalled;
+    stall.components = non_quiescent_names();
+    if (!last_ckpt_path_.empty()) {
+        stall.replay = replay_hint_ + " --restore " + last_ckpt_path_;
+    }
+    if (telemetry_ != nullptr) {
+        telemetry_->record_stall(stall);
+    }
     std::uint64_t parked = 0;
     for (const auto& dse : dses_) {
         parked += dse.pending();
     }
-    const std::string tail =
-        " (stuck: " + non_quiescent_names() + "; " + std::to_string(parked) +
-        " FALLOCs parked at DSEs; the program's live-thread "
-        "peak likely exceeds the frame supply)";
-    if (idle_forever) {
-        DTA_SIM_ERROR("deadlock at cycle " + std::to_string(now) +
-                      ": every component is idle forever yet the machine is "
-                      "not quiescent" +
-                      tail);
+    const sim::TelemetryFrame q = sample_frame(now);
+    std::string msg =
+        "deadlock at cycle " + std::to_string(now) + ": " +
+        (idle_forever ? std::string("every component is idle forever yet "
+                                    "the machine is not quiescent")
+                      : "no progress for " + std::to_string(stalled) +
+                            " cycles");
+    msg += " (stuck: " + stall.components +
+           "; queues: mfc=" + std::to_string(q.mfc_commands) +
+           " mem=" + std::to_string(q.mem_queue) +
+           " noc=" + std::to_string(q.noc_pending) +
+           " ready=" + std::to_string(q.threads_ready) +
+           " waitdma=" + std::to_string(q.threads_waitdma) + "; " +
+           std::to_string(parked) +
+           " FALLOCs parked at DSEs; the program's live-thread peak likely "
+           "exceeds the frame supply)";
+    if (!stall.replay.empty()) {
+        msg += "; replay: " + stall.replay;
     }
-    DTA_SIM_ERROR("deadlock: no progress for " + std::to_string(stalled) +
-                  " cycles" + tail);
+    DTA_SIM_ERROR(msg);
 }
 
 void Machine::check_progress(sim::Cycle c, std::uint64_t fp) {
@@ -965,22 +947,12 @@ RunResult Machine::run_wheel() {
         if (next > now + 1) {
             // Inactive span [now + 1, next): no live wheel entry, so by the
             // horizon contract observable state is frozen.  Replay the side
-            // effects the dense loop takes per cycle — gauge and telemetry
-            // samples, deadlock checkpoints — against that frozen state;
-            // component skip() bookkeeping stays lazy (applied at each next
-            // visit).
+            // effects the dense loop takes per cycle — telemetry samples and
+            // deadlock checkpoints — against that frozen state; component
+            // skip() bookkeeping stays lazy (applied at each next visit).
             const sim::ProfScope ff(pb, sim::ProfBuffer::kLoopSlot,
                                     sim::ProfPhase::kFastforwardScan);
             skipped_ += next - (now + 1);
-            if (metrics_.enabled()) {
-                const sim::Cycle step = cfg_.metrics_sample_interval;
-                for (sim::Cycle c = ((now + 1 + step - 1) / step) * step;
-                     c < next; c += step) {
-                    const sim::ProfScope ps(pb, sim::ProfBuffer::kLoopSlot,
-                                            sim::ProfPhase::kSample);
-                    sample_gauges(c);
-                }
-            }
             if (telemetry_ != nullptr) {
                 while (telemetry_next_ < next) {
                     capture_telemetry(telemetry_next_);

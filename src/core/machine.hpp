@@ -74,8 +74,8 @@ struct RunResult {
     std::vector<ThreadSpan> spans;
     /// Thread-code names, aligned with span code ids (for trace rendering).
     std::vector<std::string> code_names;
-    /// Run-wide histograms, counters and gauge time-series (populated only
-    /// when MachineConfig::collect_metrics; otherwise disabled and empty).
+    /// Run-wide histograms and counters (populated only when
+    /// MachineConfig::collect_metrics; otherwise disabled and empty).
     sim::MetricsRegistry metrics;
     /// One span per completed DMA command (only with collect_metrics).
     std::vector<dma::DmaSpan> dma_spans;
@@ -171,23 +171,11 @@ public:
         progress_ = std::move(fn);
     }
 
-    /// Command prefix for the telemetry watchdog's `--restore` replay hint
-    /// (e.g. "dta_run prog.dta --spes 4"); the nearest pre-stall snapshot
-    /// path is appended when the watchdog fires.  Default "dta_run".
+    /// Command prefix for the deadlock error's `--restore` replay hint
+    /// (e.g. "dta_run prog.dta --spes 4"); the newest checkpoint path is
+    /// appended when the detector trips.  Default "dta_run".
     void set_replay_hint(std::string prefix) {
         replay_hint_ = std::move(prefix);
-    }
-    /// The live-telemetry sampler, or nullptr when telemetry is off (for
-    /// tools that stream or inspect mid-run state).
-    [[nodiscard]] const sim::TelemetrySampler* telemetry() const {
-        return telemetry_.get();
-    }
-    /// Redirects the telemetry watchdog's diagnostic away from stderr
-    /// (tests capture and assert on it).  No-op when telemetry is off.
-    void set_telemetry_diag(std::FILE* f) {
-        if (telemetry_ != nullptr) {
-            telemetry_->set_diag_stream(f);
-        }
     }
 
     /// Runs the simulation to completion and returns the statistics.
@@ -244,11 +232,10 @@ public:
     [[nodiscard]] sim::Cycle cycles_fast_forwarded() const { return skipped_; }
 
 private:
-    void sample_gauges(sim::Cycle now);
     /// The production run loop: visits each component only at its
     /// scheduled cycle and replays the dense loop's observable side effects
-    /// (gauge and telemetry samples, deadlock checkpoints) over the jumped
-    /// spans, so every RunResult byte matches run_dense()'s.
+    /// (telemetry samples, deadlock checkpoints) over the jumped spans, so
+    /// every RunResult byte matches run_dense()'s.
     [[nodiscard]] RunResult run_wheel();
     /// The differential oracle (use_wheel off): ticks every component on
     /// every cycle.
@@ -268,8 +255,13 @@ private:
     /// Activity fingerprint for no-progress (deadlock) detection.
     [[nodiscard]] std::uint64_t fingerprint() const;
     [[nodiscard]] std::string non_quiescent_names() const;
+    /// The one stall trip path, for both the no-progress check and the
+    /// wheel's idle-forever test: streams the stall to the telemetry
+    /// sampler (when on), then throws one line naming the stuck
+    /// components, the queue depths and, after a checkpoint, the
+    /// `--restore` replay command.
     [[noreturn]] void throw_deadlock(sim::Cycle now, sim::Cycle stalled,
-                                     bool idle_forever) const;
+                                     bool idle_forever);
     /// The 0xfff-cycle no-progress check at cycle \p c against activity
     /// fingerprint \p fp.
     void check_progress(sim::Cycle c, std::uint64_t fp);
@@ -295,12 +287,16 @@ private:
     /// The early-exit path of --stop-at: canonicalise what was collected
     /// and gather the partial result (no final quiescence audit).
     [[nodiscard]] RunResult stop_early(sim::Cycle cycle);
-    /// Captures one machine-wide telemetry frame at \p now (post-tick
-    /// state).  No-op unless cfg_.telemetry.enabled.  Called at sample
-    /// cycles (and replayed over the wheel's jumped spans).
+    /// The simulated fields of a telemetry frame at \p now (post-tick
+    /// state): occupancy, queue depths and retired instructions.
+    [[nodiscard]] sim::TelemetryFrame sample_frame(sim::Cycle now) const;
+    /// Captures one machine-wide telemetry frame at \p now, with its
+    /// host-side tail, and the profiler's cumulative phase totals.  No-op
+    /// unless cfg_.telemetry.enabled.  Called at sample cycles (and
+    /// replayed over the wheel's jumped spans).
     void capture_telemetry(sim::Cycle now);
     /// The per-cycle observers both run loops share after ticking \p now:
-    /// gauge and telemetry samples, audits and the progress heartbeat.
+    /// telemetry samples, audits and the progress heartbeat.
     void observe_cycle(sim::Cycle now, std::uint64_t& prof_t);
     /// Fires progress_ if \p now crossed the next reporting threshold.
     void report_progress(sim::Cycle now);
@@ -365,10 +361,6 @@ private:
     // metrics (live only when cfg_.collect_metrics)
     sim::MetricsRegistry metrics_;
     std::vector<dma::DmaSpan> dma_spans_;
-    sim::GaugeSeries* g_dma_cmds_ = nullptr;
-    sim::GaugeSeries* g_dma_lines_ = nullptr;
-    sim::GaugeSeries* g_mem_queue_ = nullptr;
-    std::vector<sim::GaugeSeries*> g_noc_pending_;  ///< one per fabric
 
     bool launched_ = false;
     bool ran_ = false;
@@ -380,8 +372,8 @@ private:
     sim::Cycle stop_at_ = 0;            ///< 0 = run to quiescence
     sim::Cycle last_ckpt_cycle_ = 0;
     std::string last_ckpt_path_;
-    /// Command prefix for the telemetry watchdog's replay hint; the
-    /// nearest pre-stall snapshot path is appended at stall time.
+    /// Command prefix for the deadlock error's replay hint; the newest
+    /// checkpoint path is appended at stall time.
     std::string replay_hint_ = "dta_run";
 };
 

@@ -33,8 +33,7 @@ void emit_process_name(EventWriter& w, int pid, const char* name) {
 
 /// Perfetto row metadata: name and pin the SPU tracks in PE-id order.  The
 /// set of rows is derived from the spans so empty runs emit nothing.
-void emit_spu_track_names(EventWriter& w,
-                          const std::vector<ThreadSpan>& spans) {
+void emit_spu_track_names(EventWriter& w, std::span<const ThreadSpan> spans) {
     std::uint32_t max_pe = 0;
     if (spans.empty()) {
         return;
@@ -51,8 +50,8 @@ void emit_spu_track_names(EventWriter& w,
     }
 }
 
-void emit_thread_slices(EventWriter& w, const std::vector<ThreadSpan>& spans,
-                        const std::vector<std::string>& code_names) {
+void emit_thread_slices(EventWriter& w, std::span<const ThreadSpan> spans,
+                        std::span<const std::string> code_names) {
     for (const ThreadSpan& s : spans) {
         const std::string name =
             s.code < code_names.size() ? code_names[s.code]
@@ -68,92 +67,30 @@ void emit_thread_slices(EventWriter& w, const std::vector<ThreadSpan>& spans,
 
 }  // namespace
 
-std::string chrome_trace_json(const std::vector<ThreadSpan>& spans,
-                              const std::vector<std::string>& code_names) {
-    std::ostringstream os;
-    EventWriter w(os);
-    emit_thread_slices(w, spans, code_names);
-    w.finish();
-    return os.str();
-}
-
-std::string chrome_trace_json(const std::vector<ThreadSpan>& spans,
-                              const std::vector<std::string>& code_names,
-                              const sim::MetricsRegistry& metrics,
-                              const std::vector<dma::DmaSpan>& dma_spans) {
-    return chrome_trace_json(spans, code_names, metrics, dma_spans, {});
-}
-
-std::string chrome_trace_json(const std::vector<ThreadSpan>& spans,
-                              const std::vector<std::string>& code_names,
-                              const sim::MetricsRegistry& metrics,
-                              const std::vector<dma::DmaSpan>& dma_spans,
-                              const std::vector<TraceFlow>& flows) {
-    return chrome_trace_json(spans, code_names, metrics, dma_spans, flows,
-                             sim::HostProfile{});
-}
-
-std::string chrome_trace_json(const std::vector<ThreadSpan>& spans,
-                              const std::vector<std::string>& code_names,
-                              const sim::MetricsRegistry& metrics,
-                              const std::vector<dma::DmaSpan>& dma_spans,
-                              const std::vector<TraceFlow>& flows,
-                              const sim::HostProfile& host) {
-    return chrome_trace_json(spans, code_names, metrics, dma_spans, flows,
-                             host, sim::WheelStats{});
-}
-
-std::string chrome_trace_json(const std::vector<ThreadSpan>& spans,
-                              const std::vector<std::string>& code_names,
-                              const sim::MetricsRegistry& metrics,
-                              const std::vector<dma::DmaSpan>& dma_spans,
-                              const std::vector<TraceFlow>& flows,
-                              const sim::HostProfile& host,
-                              const sim::WheelStats& wheel) {
-    return chrome_trace_json(spans, code_names, metrics, dma_spans, flows,
-                             host, wheel, sim::TelemetryResult{});
-}
-
-std::string chrome_trace_json(const std::vector<ThreadSpan>& spans,
-                              const std::vector<std::string>& code_names,
-                              const sim::MetricsRegistry& metrics,
-                              const std::vector<dma::DmaSpan>& dma_spans,
-                              const std::vector<TraceFlow>& flows,
-                              const sim::HostProfile& host,
-                              const sim::WheelStats& wheel,
-                              const sim::TelemetryResult& telemetry) {
+std::string chrome_trace_json(const TraceInput& in) {
+    const bool host = in.host != nullptr && in.host->enabled;
+    const bool frames = in.telemetry != nullptr && in.telemetry->enabled &&
+                        !in.telemetry->frames.empty();
     std::ostringstream os;
     EventWriter w(os);
     emit_process_name(w, 0, "SPUs");
-    emit_process_name(w, 1, "counters");
     emit_process_name(w, 2, "DMA");
-    if (host.enabled) {
+    if (host) {
         emit_process_name(w, 3, "host");
     }
-    if (wheel.enabled && !wheel.samples.empty()) {
+    if (in.wheel && frames) {
         emit_process_name(w, 4, "wheel");
     }
-    if (telemetry.enabled && !telemetry.frames.empty()) {
+    if (frames) {
         emit_process_name(w, 5, "telemetry");
     }
-    emit_spu_track_names(w, spans);
-    emit_thread_slices(w, spans, code_names);
-
-    // One counter track per gauge: Perfetto draws "ph":"C" events sharing a
-    // (pid, name) as a stepped time-series.
-    for (const auto& [name, series] : metrics.gauges()) {
-        for (const sim::GaugeSample& s : series.samples()) {
-            w.next() << R"(  {"name": ")" << name
-                     << R"(", "cat": "gauge", "ph": "C", "ts": )" << s.cycle
-                     << R"(, "pid": 1, "args": {"value": )" << s.value
-                     << "}}";
-        }
-    }
+    emit_spu_track_names(w, in.spans);
+    emit_thread_slices(w, in.spans, in.code_names);
 
     // DMA transfers as async begin/end pairs so concurrent commands on one
     // MFC stack instead of colliding on a thread track.
     std::uint64_t id = 0;
-    for (const dma::DmaSpan& d : dma_spans) {
+    for (const dma::DmaSpan& d : in.dma_spans) {
         const char* op = d.op == dma::MfcOp::kGet ? "GET" : "PUT";
         w.next() << R"(  {"name": ")" << op << ' ' << d.bytes
                  << R"(B", "cat": "dma", "ph": "b", "id": )" << id
@@ -171,7 +108,7 @@ std::string chrome_trace_json(const std::vector<ThreadSpan>& spans,
     // and ends at the consumer's dispatch ("ph":"f", "bp":"e" binds to the
     // enclosing slice even though the timestamp is its left edge).
     std::uint64_t flow_id = 0;
-    for (const TraceFlow& f : flows) {
+    for (const TraceFlow& f : in.flows) {
         const char* name = f.on_critical_path ? "critical-store" : "store";
         w.next() << R"(  {"name": ")" << name
                  << R"(", "cat": "dataflow", "ph": "s", "id": )" << flow_id
@@ -185,11 +122,11 @@ std::string chrome_trace_json(const std::vector<ThreadSpan>& spans,
     }
 
     // Host-side tracks: per (row group, phase), the host nanoseconds burnt
-    // in each gauge-sampling interval, plotted against simulated time.  The
+    // in each telemetry interval, plotted against simulated time.  The
     // snapshots carry cumulative totals, so each point is a delta from the
     // previous one; phases a group never touched are skipped entirely.
-    if (host.enabled) {
-        for (const sim::HostProfileShard& s : host.shards) {
+    if (host) {
+        for (const sim::HostProfileShard& s : in.host->shards) {
             for (std::size_t p = 0; p < sim::kNumProfPhases; ++p) {
                 if (s.phase_ns[p] == 0) {
                     continue;
@@ -207,12 +144,10 @@ std::string chrome_trace_json(const std::vector<ThreadSpan>& spans,
             }
         }
     }
-    // Event-driven scheduler tracks: the armed-component count (an
-    // occupancy gauge) plus pop and insert *rates* over each sampling
-    // interval (the samples carry cumulative totals, so each point is a
-    // delta from the previous one); runs without the wheel (or without
-    // metrics) add nothing.
-    if (wheel.enabled) {
+    // Event-driven scheduler tracks from the frames' host-side tail: the
+    // armed-component count plus pop and insert *rates* over each interval
+    // (the frames carry cumulative totals, so each point is a delta).
+    if (in.wheel && frames) {
         const auto counter = [&w](const char* name, sim::Cycle ts,
                                   std::uint64_t value) {
             w.next() << R"(  {"name": "wheel/)" << name
@@ -221,20 +156,20 @@ std::string chrome_trace_json(const std::vector<ThreadSpan>& spans,
         };
         std::uint64_t prev_pops = 0;
         std::uint64_t prev_inserts = 0;
-        for (const sim::WheelStats::Sample& s : wheel.samples) {
-            counter("armed", s.cycle, s.occupancy);
-            counter("pops", s.cycle, s.pops - prev_pops);
-            counter("inserts", s.cycle, s.inserts - prev_inserts);
-            prev_pops = s.pops;
-            prev_inserts = s.inserts;
+        for (const sim::TelemetryFrame& f : in.telemetry->frames) {
+            counter("armed", f.cycle, f.wheel_armed);
+            counter("pops", f.cycle, f.wheel_pops - prev_pops);
+            counter("inserts", f.cycle, f.wheel_inserts - prev_inserts);
+            prev_pops = f.wheel_pops;
+            prev_inserts = f.wheel_inserts;
         }
     }
-    // Live-telemetry tracks: machine-wide occupancy and queue-depth gauges
-    // at the sampler's cadence, plus the retired-instruction count as a
+    // Live-telemetry tracks: machine-wide occupancy and queue depths at the
+    // sampler's cadence, plus the retired-instruction count as a
     // per-interval delta (the frames carry cumulative totals).  Only
     // simulated-state fields are drawn — host_ns and the wheel counters
     // stay out so traces remain comparable across wheel modes.
-    if (telemetry.enabled && !telemetry.frames.empty()) {
+    if (frames) {
         const auto counter = [&w](const char* name, sim::Cycle ts,
                                   std::uint64_t value) {
             w.next() << R"(  {"name": ")" << name
@@ -242,7 +177,7 @@ std::string chrome_trace_json(const std::vector<ThreadSpan>& spans,
                      << R"(, "pid": 5, "args": {"value": )" << value << "}}";
         };
         std::uint64_t prev_retired = 0;
-        for (const sim::TelemetryFrame& f : telemetry.frames) {
+        for (const sim::TelemetryFrame& f : in.telemetry->frames) {
             counter("spus_running", f.cycle, f.pes_running);
             counter("threads_ready", f.cycle, f.threads_ready);
             counter("threads_waitdma", f.cycle, f.threads_waitdma);

@@ -4,15 +4,13 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "dma/mfc.hpp"
-#include "sim/metrics.hpp"
 #include "sim/prof.hpp"
 #include "sim/telemetry.hpp"
 #include "sim/types.hpp"
-#include "sim/wheel.hpp"
 
 namespace dta::core {
 
@@ -47,75 +45,38 @@ struct CodeProfile {
     std::uint64_t instructions = 0;
 };
 
-/// Renders a run's spans as a Chrome-trace ("chrome://tracing" /
-/// Perfetto-compatible) JSON document: one row per SPU, one slice per
-/// thread occupancy.  Timestamps are simulated cycles (reported as us).
-[[nodiscard]] std::string chrome_trace_json(
-    const std::vector<ThreadSpan>& spans,
-    const std::vector<std::string>& code_names);
+/// What a Chrome-trace export draws.  Every member is optional: empty
+/// sequences and null pointers add nothing.
+struct TraceInput {
+    /// Thread slices (pid 0, "SPUs"): one row per SPU, one slice per
+    /// occupancy, named after \ref code_names.
+    std::span<const ThreadSpan> spans{};
+    std::span<const std::string> code_names{};
+    /// One async slice per completed DMA command (pid 2, "DMA",
+    /// "ph":"b"/"e"; overlapping transfers render stacked).
+    std::span<const dma::DmaSpan> dma_spans{};
+    /// Dataflow arrows between thread slices ("ph":"s"/"f"); critical-path
+    /// edges are named so the UI can filter them.
+    std::span<const TraceFlow> flows{};
+    /// Host profile (pid 3, "host"): one counter track per (row group,
+    /// phase) with the host nanoseconds that phase consumed per telemetry
+    /// interval, plotted against simulated time.  Drawn when enabled.
+    const sim::HostProfile* host = nullptr;
+    /// Live-telemetry timeline (pid 5, "telemetry"): SPU occupancy, ready /
+    /// wait-DMA thread counts, live frames, MFC queue depth, in-flight DMA
+    /// bytes, memory queue depth, NoC backlog, and the per-interval
+    /// retired-instruction rate.  Only simulated fields are drawn here.
+    const sim::TelemetryResult* telemetry = nullptr;
+    /// The run used the timing wheel: also draw the frames' host-side tail
+    /// as the scheduler tracks (pid 4, "wheel": armed components plus
+    /// per-interval pop and insert rates).  Off keeps traces of wheel and
+    /// dense runs comparable byte for byte.
+    bool wheel = false;
+};
 
-/// Full-fat variant: thread slices (pid 0) plus one Perfetto counter track
-/// per sampled gauge (pid 1, "ph":"C") and one async slice per completed DMA
-/// command (pid 2, "ph":"b"/"e", overlapping transfers render stacked).
-/// Gauges come from \p metrics (no counter events when it is disabled or
-/// empty); either span vector may be empty.
-[[nodiscard]] std::string chrome_trace_json(
-    const std::vector<ThreadSpan>& spans,
-    const std::vector<std::string>& code_names,
-    const sim::MetricsRegistry& metrics,
-    const std::vector<dma::DmaSpan>& dma_spans);
-
-/// Like the full-fat variant, and additionally draws \p flows as Perfetto
-/// flow-event arrows ("ph":"s"/"f") between the SPU slices (critical-path
-/// edges are named so they can be filtered in the UI).
-[[nodiscard]] std::string chrome_trace_json(
-    const std::vector<ThreadSpan>& spans,
-    const std::vector<std::string>& code_names,
-    const sim::MetricsRegistry& metrics,
-    const std::vector<dma::DmaSpan>& dma_spans,
-    const std::vector<TraceFlow>& flows);
-
-/// Like the flow variant, and additionally renders the host-side profile
-/// (pid 3, "host") as one counter track per (row group, phase): the host
-/// nanoseconds that phase consumed per gauge-sampling interval, plotted
-/// against simulated time so host cost lines up under the simulated
-/// activity that caused it.  \p host disabled or without samples adds
-/// nothing (the output is then byte-identical to the flow variant).
-[[nodiscard]] std::string chrome_trace_json(
-    const std::vector<ThreadSpan>& spans,
-    const std::vector<std::string>& code_names,
-    const sim::MetricsRegistry& metrics,
-    const std::vector<dma::DmaSpan>& dma_spans,
-    const std::vector<TraceFlow>& flows, const sim::HostProfile& host);
-
-/// Like the host variant, and additionally renders the event-driven
-/// scheduler's counters (pid 4, "wheel") as counter tracks: armed
-/// components (occupancy) plus per-sampling-interval pop and insert rates,
-/// plotted against simulated time.  \p wheel
-/// disabled or without samples adds nothing (the output is then
-/// byte-identical to the host variant — which is how `--no-wheel` runs and
-/// the wheel-vs-dense determinism tests keep their traces comparable).
-[[nodiscard]] std::string chrome_trace_json(
-    const std::vector<ThreadSpan>& spans,
-    const std::vector<std::string>& code_names,
-    const sim::MetricsRegistry& metrics,
-    const std::vector<dma::DmaSpan>& dma_spans,
-    const std::vector<TraceFlow>& flows, const sim::HostProfile& host,
-    const sim::WheelStats& wheel);
-
-/// Like the wheel variant, and additionally renders the live-telemetry
-/// timeline (pid 5, "telemetry") as counter tracks at the sampler's
-/// cadence: SPU occupancy, ready / wait-DMA thread counts, live frames,
-/// MFC queue depth, in-flight DMA bytes, memory queue depth, NoC backlog,
-/// and the per-interval retired-instruction rate.  Only simulated-state
-/// fields are drawn; \p telemetry disabled or without frames adds nothing
-/// (the output is then byte-identical to the wheel variant).
-[[nodiscard]] std::string chrome_trace_json(
-    const std::vector<ThreadSpan>& spans,
-    const std::vector<std::string>& code_names,
-    const sim::MetricsRegistry& metrics,
-    const std::vector<dma::DmaSpan>& dma_spans,
-    const std::vector<TraceFlow>& flows, const sim::HostProfile& host,
-    const sim::WheelStats& wheel, const sim::TelemetryResult& telemetry);
+/// Renders \p in as a Chrome-trace ("chrome://tracing" /
+/// Perfetto-compatible) JSON document.  Timestamps are simulated cycles
+/// (reported as us).
+[[nodiscard]] std::string chrome_trace_json(const TraceInput& in);
 
 }  // namespace dta::core

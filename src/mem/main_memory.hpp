@@ -118,7 +118,8 @@ public:
     [[nodiscard]] std::uint64_t bytes_written() const { return bytes_written_; }
     /// Peak depth the request queue reached (controller congestion metric).
     [[nodiscard]] std::size_t peak_queue_depth() const { return peak_queue_; }
-    /// Requests waiting for a port right now (sampled as a gauge).
+    /// Requests waiting for a port right now (sampled into each telemetry
+    /// frame).
     [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
     /// Requests started but not yet retired.
     [[nodiscard]] std::size_t requests_in_flight() const {

@@ -96,7 +96,7 @@ public:
     }
 
     /// Packets anywhere in the fabric (queued, on a bus, or undelivered) —
-    /// the congestion gauge the Machine's sampler records per fabric.
+    /// summed over fabrics into each telemetry frame's NoC backlog.
     [[nodiscard]] std::size_t pending() const;
 
     /// Invariant audit (sim/audit.hpp): packet conservation — every packet

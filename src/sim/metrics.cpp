@@ -86,22 +86,6 @@ void Histogram::load_state(StateSource& s) {
     max_ = s.u64();
 }
 
-void GaugeSeries::save_state(StateSink& s) const {
-    save_seq(s, samples_, [](StateSink& k, const GaugeSample& g) {
-        k.u64(g.cycle);
-        k.i64(g.value);
-    });
-    s.i64(max_);
-}
-
-void GaugeSeries::load_state(StateSource& s) {
-    load_seq(s, samples_, [](StateSource& k, GaugeSample& g) {
-        g.cycle = k.u64();
-        g.value = k.i64();
-    });
-    max_ = s.i64();
-}
-
 void MetricsRegistry::save_state(StateSink& s) const {
     save_seq(s, counters_, [](StateSink& k, const auto& e) {
         k.str(e.first);
@@ -111,11 +95,6 @@ void MetricsRegistry::save_state(StateSink& s) const {
     for (const auto& [name, h] : histograms_) {
         s.str(name);
         h.save_state(s);
-    }
-    s.u64(gauges_.size());
-    for (const auto& [name, g] : gauges_) {
-        s.str(name);
-        g.save_state(s);
     }
 }
 
@@ -132,11 +111,6 @@ void MetricsRegistry::load_state(StateSource& s) {
         const std::string name = s.str();
         histograms_[name].load_state(s);
     }
-    const std::uint64_t ng = s.u64();
-    for (std::uint64_t i = 0; i < ng; ++i) {
-        const std::string name = s.str();
-        gauges_[name].load_state(s);
-    }
 }
 
 Counter* MetricsRegistry::counter(const std::string& name) {
@@ -151,13 +125,6 @@ Histogram* MetricsRegistry::histogram(const std::string& name) {
         return nullptr;
     }
     return &histograms_[name];
-}
-
-GaugeSeries* MetricsRegistry::gauge(const std::string& name) {
-    if (!enabled_) {
-        return nullptr;
-    }
-    return &gauges_[name];
 }
 
 }  // namespace dta::sim

@@ -1,11 +1,12 @@
 /// \file metrics.hpp
-/// \brief Run-wide structured metrics: named counters, log2-bucketed latency
-///        histograms, and sampled gauge time-series.
+/// \brief Run-wide structured metrics: named counters and log2-bucketed
+///        latency histograms.
 ///
 /// The simulator's scalar totals (RunResult counters) say *how much* work a
 /// run did; this layer says *where the cycles went*: the distribution of DMA
-/// tag latencies, how long threads sat ready before dispatch, how deep the
-/// memory-controller queue ran over time.  One MetricsRegistry is owned by
+/// tag latencies, how long threads sat ready before dispatch, how long
+/// packets spent in the fabric.  Queue depths over time are the telemetry
+/// frames' job (sim/telemetry.hpp).  One MetricsRegistry is owned by
 /// the Machine and shared by every component; collection is off by default
 /// and costs a single branch per would-be record when disabled.
 ///
@@ -19,9 +20,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
-
-#include "sim/types.hpp"
 
 namespace dta::sim {
 
@@ -84,40 +82,6 @@ private:
     std::uint64_t max_ = 0;
 };
 
-/// One sampled point of a gauge.
-struct GaugeSample {
-    Cycle cycle = 0;
-    std::int64_t value = 0;
-};
-
-/// A gauge sampled periodically into a time series (queue depths,
-/// in-flight transfer counts).  The Machine's sampler drives \ref sample;
-/// consumers render the series as Perfetto counter tracks.
-class GaugeSeries {
-public:
-    void sample(Cycle cycle, std::int64_t value) {
-        samples_.push_back(GaugeSample{cycle, value});
-        if (value > max_) {
-            max_ = value;
-        }
-    }
-
-    [[nodiscard]] const std::vector<GaugeSample>& samples() const {
-        return samples_;
-    }
-    [[nodiscard]] std::int64_t max() const { return max_; }
-    [[nodiscard]] std::int64_t last() const {
-        return samples_.empty() ? 0 : samples_.back().value;
-    }
-
-    void save_state(StateSink& s) const;
-    void load_state(StateSource& s);
-
-private:
-    std::vector<GaugeSample> samples_;
-    std::int64_t max_ = 0;
-};
-
 /// The per-machine registry of named instruments.
 ///
 /// Disabled by default: every accessor returns nullptr, so instrumented
@@ -134,7 +98,6 @@ public:
     /// storage), but do not survive copying the registry.
     [[nodiscard]] Counter* counter(const std::string& name);
     [[nodiscard]] Histogram* histogram(const std::string& name);
-    [[nodiscard]] GaugeSeries* gauge(const std::string& name);
 
     // Sorted, deterministic iteration for exporters.
     [[nodiscard]] const std::map<std::string, Counter>& counters() const {
@@ -142,9 +105,6 @@ public:
     }
     [[nodiscard]] const std::map<std::string, Histogram>& histograms() const {
         return histograms_;
-    }
-    [[nodiscard]] const std::map<std::string, GaugeSeries>& gauges() const {
-        return gauges_;
     }
 
     /// Serialize every instrument (sorted map order keeps it canonical).
@@ -157,7 +117,6 @@ private:
     bool enabled_ = false;
     std::map<std::string, Counter> counters_;
     std::map<std::string, Histogram> histograms_;
-    std::map<std::string, GaugeSeries> gauges_;
 };
 
 }  // namespace dta::sim

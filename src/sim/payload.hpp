@@ -128,7 +128,7 @@ private:
 static_assert(sizeof(Payload) <= 16);
 
 /// Snapshot encoding: u64 length, then the bytes — the byte-payload layout
-/// of snapshot format version 2, pinned by tests/sim/fifo_test.cpp.
+/// of snapshot format versions 2 and 3, pinned by tests/sim/fifo_test.cpp.
 inline void save_payload(StateSink& s, const Payload& p) {
     s.u64(p.size());
     s.blob(p.data(), p.size());

@@ -41,7 +41,7 @@ enum class ProfPhase : std::uint8_t {
     kQuiescence,        ///< the per-cycle quiescence sweep
     kFastforwardScan,   ///< skip() bookkeeping over a fast-forwarded span
     kAudit,             ///< invariant audit sweeps
-    kSample,            ///< gauge sampling / metrics snapshots
+    kSample,            ///< telemetry frame sampling
     kWheelPop,          ///< collecting the due set from the timing wheel
     kWheelInsert,       ///< wheel enqueues from wakes and external re-arms
     kRearm,             ///< post-tick horizon query + reschedule
@@ -112,7 +112,7 @@ public:
     }
 
     /// Records the cumulative per-phase totals at \p cycle (for the host
-    /// Perfetto tracks; sampled at the machine's gauge cadence).
+    /// Perfetto tracks; sampled at the telemetry frame cadence).
     void snapshot(Cycle cycle);
 
     void set_wall_ns(std::uint64_t ns) { wall_ns_ = ns; }

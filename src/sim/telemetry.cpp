@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <utility>
 
 #include "sim/check.hpp"
 
@@ -28,7 +27,7 @@ TelemetrySampler::~TelemetrySampler() {
     }
 }
 
-void TelemetrySampler::record(const TelemetryFrame& frame, bool quiescent) {
+void TelemetrySampler::record(const TelemetryFrame& frame) {
     latest_ = frame;
     ++captured_;
     if (size_ == ring_.size()) {
@@ -39,53 +38,20 @@ void TelemetrySampler::record(const TelemetryFrame& frame, bool quiescent) {
         ring_[(head_ + size_) % ring_.size()] = frame;
         ++size_;
     }
-    if (cfg_.watchdog_samples != 0 && !stalled_) {
-        watchdog(frame, quiescent);
-    }
     if (stream_ != nullptr) {
-        const std::string line = ndjson_line(frame);
-        std::fwrite(line.data(), 1, line.size(), stream_);
-        std::fflush(stream_);  // the reader tails a live run
+        write_line(ndjson_line(frame));
     }
 }
 
-void TelemetrySampler::watchdog(const TelemetryFrame& frame, bool quiescent) {
-    if (frame.activity_fp != last_fp_ || quiescent) {
-        last_fp_ = frame.activity_fp;
-        last_progress_cycle_ = frame.cycle;
-        frozen_samples_ = 0;
-        return;
-    }
-    ++frozen_samples_;
-    if (frozen_samples_ < cfg_.watchdog_samples) {
-        return;
-    }
-    stalled_ = true;
-    stall_.cycle = frame.cycle;
-    stall_.samples = frozen_samples_;
-    stall_.stalled_cycles = frame.cycle - last_progress_cycle_;
-    if (stall_info_) {
-        stall_info_(stall_);
-    }
-    std::FILE* out = diag_ != nullptr ? diag_ : stderr;
-    std::fprintf(out,
-                 "telemetry watchdog: no retirement progress for %" PRIu32
-                 " samples (%" PRIu64 " cycles) at cycle %" PRIu64
-                 "; stuck: %s; queues: mfc=%" PRIu32 " mem=%" PRIu32
-                 " noc=%" PRIu32 " ready=%" PRIu32 " waitdma=%" PRIu32 "%s%s\n",
-                 stall_.samples, stall_.stalled_cycles, stall_.cycle,
-                 stall_.components.empty() ? "(none)"
-                                          : stall_.components.c_str(),
-                 frame.mfc_commands, frame.mem_queue, frame.noc_pending,
-                 frame.threads_ready, frame.threads_waitdma,
-                 stall_.replay.empty() ? "" : "\nreplay: ",
-                 stall_.replay.c_str());
-    std::fflush(out);
+void TelemetrySampler::record_stall(const TelemetryStall& stall) {
     if (stream_ != nullptr) {
-        const std::string line = ndjson_stall_line(stall_);
-        std::fwrite(line.data(), 1, line.size(), stream_);
-        std::fflush(stream_);
+        write_line(ndjson_stall_line(stall));
     }
+}
+
+void TelemetrySampler::write_line(const std::string& line) {
+    std::fwrite(line.data(), 1, line.size(), stream_);
+    std::fflush(stream_);  // the reader tails a live run
 }
 
 TelemetryResult TelemetrySampler::result() const {
@@ -98,8 +64,6 @@ TelemetryResult TelemetrySampler::result() const {
     }
     r.captured = captured_;
     r.dropped = dropped_;
-    r.stalled = stalled_;
-    r.stall = stall_;
     return r;
 }
 
@@ -113,11 +77,11 @@ std::string TelemetrySampler::ndjson_line(const TelemetryFrame& f) {
         ",\"dma_bytes\":%" PRIu64 ",\"mem_queue\":%" PRIu32
         ",\"noc_pending\":%" PRIu32 ",\"instrs_retired\":%" PRIu64
         ",\"host_ns\":%" PRIu64 ",\"wheel_armed\":%" PRIu64
-        ",\"wheel_pops\":%" PRIu64 "}\n",
+        ",\"wheel_pops\":%" PRIu64 ",\"wheel_inserts\":%" PRIu64 "}\n",
         f.cycle, f.pes_running, f.threads_ready, f.threads_waitdma,
         f.frames_live, f.mfc_commands, f.dma_bytes, f.mem_queue,
         f.noc_pending, f.instrs_retired, f.host_ns, f.wheel_armed,
-        f.wheel_pops);
+        f.wheel_pops, f.wheel_inserts);
     DTA_CHECK(n > 0 && static_cast<std::size_t>(n) < sizeof buf);
     return std::string(buf, static_cast<std::size_t>(n));
 }
@@ -142,8 +106,6 @@ std::string TelemetrySampler::ndjson_stall_line(const TelemetryStall& s) {
     };
     std::string line = "{\"type\":\"stall\",\"cycle\":";
     line += std::to_string(s.cycle);
-    line += ",\"samples\":";
-    line += std::to_string(s.samples);
     line += ",\"stalled_cycles\":";
     line += std::to_string(s.stalled_cycles);
     line += ",\"components\":\"";

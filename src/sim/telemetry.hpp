@@ -1,12 +1,12 @@
 /// \file telemetry.hpp
 /// \brief Live telemetry: periodic machine-wide occupancy frames in a
-///        bounded ring, an NDJSON stream for `dta_top`, and a
-///        progress/stall watchdog.
+///        bounded ring and an NDJSON stream for `dta_top`.
 ///
-/// Where the metrics layer (sim/metrics.hpp) accumulates per-instrument
-/// series for post-mortem reports, telemetry captures *whole-machine*
-/// snapshots — one TelemetryFrame per sample cycle — cheap enough to tail
-/// while a paper-scale run is still going.  The discipline is the same as
+/// The machine's one periodic sampler.  Where the metrics layer
+/// (sim/metrics.hpp) accumulates per-event distributions for post-mortem
+/// reports, telemetry captures *whole-machine* snapshots — one
+/// TelemetryFrame per sample cycle — cheap enough to tail while a
+/// paper-scale run is still going.  The discipline is the same as
 /// every other observer in this tree:
 ///
 ///  * **Off by default.**  With `TelemetryConfig::enabled` false the run
@@ -20,20 +20,17 @@
 ///    replayed over the wheel's jumped spans (state is frozen there by
 ///    the horizon contract) — so the frame sequence is byte-identical
 ///    with the wheel on or off.  Host-side fields (wall-clock rate, wheel
-///    occupancy) ride only the NDJSON stream, never the JSON report,
-///    exactly like `RunResult::wheel`.
+///    occupancy) ride only the NDJSON stream and the Perfetto host tracks,
+///    never the JSON report, exactly like `RunResult::wheel`.
 ///
-/// The watchdog runs on the same frames: if the machine-wide activity
-/// fingerprint is frozen for `watchdog_samples` consecutive samples while
-/// the machine is not quiescent, it emits ONE structured diagnostic naming
-/// the stalled components (the deadlock-dump names), the current queue
-/// depths, and — when checkpoints are enabled — the exact `dta_run
-/// --restore` command replaying from the nearest pre-stall snapshot.
+/// Stalls are the machine's deadlock detector's to find (the no-progress
+/// check and the wheel's idle-forever test in core/machine.cpp).  When it
+/// trips, the machine hands the stall to the sampler, which writes one
+/// `"type":"stall"` line to the NDJSON stream before the run throws.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -49,16 +46,13 @@ struct TelemetryConfig {
     /// Bounded frame ring: once full, the oldest frame is dropped (the
     /// JSON timeline keeps the most recent window; `dropped` counts).
     std::size_t ring_capacity = 4096;
-    /// Stall after this many consecutive no-progress samples while
-    /// non-quiescent (0 disables the watchdog).
-    std::uint32_t watchdog_samples = 16;
     /// NDJSON stream destination ("" = none): a path, typically a FIFO
     /// created with mkfifo(1) and tailed by tools/dta_top.
     std::string stream_path;
 };
 
 /// One machine-wide sample.  The fields up to and including
-/// `activity_fp` are simulated values — deterministic with the wheel on or
+/// `instrs_retired` are simulated values — deterministic with the wheel on or
 /// off, and the only fields the JSON run report
 /// serialises.  The `host_*` / `wheel_*` tail describes the *simulator*
 /// (like `RunResult::wheel`) and rides only the NDJSON stream and the
@@ -74,22 +68,22 @@ struct TelemetryFrame {
     std::uint32_t mem_queue = 0;        ///< memory-controller queue depth
     std::uint32_t noc_pending = 0;      ///< packets in flight, all fabrics
     std::uint64_t instrs_retired = 0;   ///< cumulative, machine-wide
-    std::uint64_t activity_fp = 0;      ///< machine activity fingerprint
 
     // --- host-side (stream/trace only; never in the JSON report) --------
-    std::uint64_t host_ns = 0;       ///< monotonic host clock at capture
-    std::uint64_t wheel_armed = 0;   ///< components armed on the wheel
-    std::uint64_t wheel_pops = 0;    ///< cumulative wheel pops
+    std::uint64_t host_ns = 0;        ///< monotonic host clock at capture
+    std::uint64_t wheel_armed = 0;    ///< components armed on the wheel
+    std::uint64_t wheel_pops = 0;     ///< cumulative wheel pops
+    std::uint64_t wheel_inserts = 0;  ///< cumulative wheel inserts
 };
 
-/// The watchdog's one-shot diagnostic (latched on first trigger).
+/// The deadlock detector's verdict, as streamed to `dta_top`.
 struct TelemetryStall {
-    std::uint64_t cycle = 0;         ///< sample cycle that tripped it
-    std::uint32_t samples = 0;       ///< consecutive no-progress samples
-    std::uint64_t stalled_cycles = 0;  ///< cycles since last progress
-    std::string components;          ///< deadlock-dump component names
-    std::string replay;              ///< `dta_run --restore ...` hint ("" if
-                                     ///< checkpoints are off)
+    std::uint64_t cycle = 0;           ///< cycle the detector tripped at
+    std::uint64_t stalled_cycles = 0;  ///< cycles without progress (0 when
+                                       ///< every component is idle forever)
+    std::string components;            ///< non-quiescent component names
+    std::string replay;                ///< `dta_run --restore ...` hint ("" if
+                                       ///< no checkpoint was written)
 };
 
 /// What a run hands back in `RunResult::telemetry`.
@@ -99,41 +93,29 @@ struct TelemetryResult {
     std::vector<TelemetryFrame> frames;  ///< ring contents, oldest first
     std::uint64_t captured = 0;          ///< frames captured in total
     std::uint64_t dropped = 0;           ///< frames evicted from the ring
-    bool stalled = false;
-    TelemetryStall stall;
 };
 
-/// The sampler: bounded ring + watchdog + NDJSON writer.  The machine owns
-/// one and calls `record()` with a fully-populated frame at each sample
-/// cycle; all capture (reading component state) stays in the machine,
-/// which knows the topology.  Single-threaded: `record()` is called from
-/// the run loop only, so no locking is needed.
+/// The sampler: bounded ring + NDJSON writer.  The machine owns one and
+/// calls `record()` with a fully-populated frame at each sample cycle; all
+/// capture (reading component state) stays in the machine, which knows the
+/// topology.  Single-threaded: `record()` is called from the run loop only,
+/// so no locking is needed.
 class TelemetrySampler {
 public:
-    /// \p stall_info, when set, supplies the machine-level parts of the
-    /// watchdog diagnostic (stalled component names + restore hint) at
-    /// trigger time.
-    using StallInfoFn = std::function<void(TelemetryStall&)>;
-
     explicit TelemetrySampler(const TelemetryConfig& cfg);
     ~TelemetrySampler();
 
     TelemetrySampler(const TelemetrySampler&) = delete;
     TelemetrySampler& operator=(const TelemetrySampler&) = delete;
 
-    void set_stall_info(StallInfoFn fn) { stall_info_ = std::move(fn); }
-    /// Redirects the watchdog's one-line diagnostic (default: stderr).
-    void set_diag_stream(std::FILE* f) { diag_ = f; }
-
-    /// Records one frame: ring append (drop-oldest), watchdog evaluation
-    /// against `frame.activity_fp`, and one NDJSON line when streaming.
-    /// \p quiescent is the machine's quiescence at the sample cycle — a
-    /// quiescent machine is finishing, not stalled.
-    void record(const TelemetryFrame& frame, bool quiescent);
+    /// Records one frame: ring append (drop-oldest) and one NDJSON line
+    /// when streaming.
+    void record(const TelemetryFrame& frame);
+    /// Writes the deadlock detector's stall line when streaming.
+    void record_stall(const TelemetryStall& stall);
 
     [[nodiscard]] std::uint64_t interval() const { return cfg_.interval; }
     [[nodiscard]] std::uint64_t captured() const { return captured_; }
-    [[nodiscard]] bool stalled() const { return stalled_; }
     /// Latest frame (zeroed default before the first sample) — feeds the
     /// `--progress` heartbeat's retire-rate / busiest-component fields.
     [[nodiscard]] const TelemetryFrame& latest() const { return latest_; }
@@ -149,7 +131,7 @@ public:
         const TelemetryStall& s);
 
 private:
-    void watchdog(const TelemetryFrame& frame, bool quiescent);
+    void write_line(const std::string& line);
 
     TelemetryConfig cfg_;
     std::vector<TelemetryFrame> ring_;  ///< circular, `head_` = oldest
@@ -158,15 +140,6 @@ private:
     std::uint64_t captured_ = 0;
     std::uint64_t dropped_ = 0;
     TelemetryFrame latest_;
-
-    // Watchdog state.
-    std::uint64_t last_fp_ = ~0ull;
-    std::uint64_t last_progress_cycle_ = 0;
-    std::uint32_t frozen_samples_ = 0;
-    bool stalled_ = false;
-    TelemetryStall stall_;
-    StallInfoFn stall_info_;
-    std::FILE* diag_ = nullptr;  ///< nullptr = stderr
 
     std::FILE* stream_ = nullptr;  ///< NDJSON sink (owned)
 };

@@ -66,16 +66,6 @@ struct WheelStats {
     std::uint64_t dense_cycles = 0;
     std::uint64_t peak_occupancy = 0;  ///< most components armed at once
 
-    /// One point of the Perfetto "wheel" counter track, captured at the
-    /// machine's gauge cadence.
-    struct Sample {
-        Cycle cycle = 0;
-        std::uint64_t occupancy = 0;  ///< components armed (finite due)
-        std::uint64_t pops = 0;       ///< cumulative pops at this cycle
-        std::uint64_t inserts = 0;    ///< cumulative inserts at this cycle
-    };
-    std::vector<Sample> samples;
-
     /// Average components visited per accounted cycle (the headline ratio:
     /// dense ticking visits N on every cycle).
     [[nodiscard]] double pops_per_cycle(Cycle cycles) const {
@@ -232,11 +222,6 @@ public:
     void set_prof(ProfBuffer* pb) { pb_ = pb; }
 
     [[nodiscard]] const WheelStats& stats() const { return stats_; }
-    /// Appends one Perfetto counter-track point (gauge cadence).
-    void sample(Cycle now) {
-        stats_.samples.push_back(
-            {now, armed_, stats_.pops, stats_.inserts});
-    }
 
 private:
     static constexpr std::uint32_t kNoCursor = 0xffffffffu;

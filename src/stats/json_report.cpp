@@ -44,21 +44,6 @@ void histogram_json(std::ostringstream& os, const sim::Histogram& h,
     os << "}\n" << pad << "}";
 }
 
-void gauge_json(std::ostringstream& os, const sim::GaugeSeries& g,
-                const std::string& pad) {
-    os << "{\n"
-       << pad << "  \"samples\": " << g.samples().size() << ",\n"
-       << pad << "  \"last\": " << g.last() << ",\n"
-       << pad << "  \"max\": " << g.max() << ",\n"
-       << pad << "  \"series\": [";
-    bool first = true;
-    for (const sim::GaugeSample& s : g.samples()) {
-        os << (first ? "" : ", ") << '[' << s.cycle << ", " << s.value << ']';
-        first = false;
-    }
-    os << "]\n" << pad << "}";
-}
-
 }  // namespace
 
 std::string json_escape(std::string_view s) {
@@ -108,16 +93,6 @@ std::string metrics_json(const sim::MetricsRegistry& reg, int indent) {
         os << (first ? "\n" : ",\n") << p2 << '"' << json_escape(name)
            << "\": ";
         histogram_json(os, h, p2);
-        first = false;
-    }
-    os << (first ? "" : "\n" + p1) << "},\n";
-
-    os << p1 << "\"gauges\": {";
-    first = true;
-    for (const auto& [name, g] : reg.gauges()) {
-        os << (first ? "\n" : ",\n") << p2 << '"' << json_escape(name)
-           << "\": ";
-        gauge_json(os, g, p2);
         first = false;
     }
     os << (first ? "" : "\n" + p1) << "}\n" << pad << "}";
@@ -223,9 +198,7 @@ std::string run_report_json(const core::RunResult& r,
     // neutrality guarantee telemetry_neutrality_test pins down).  Only
     // simulated-state fields are serialised — host_ns and the wheel
     // counters, like RunResult::wheel itself, are host-rate and would break
-    // byte-identity across wheel modes.  The stall record likewise carries
-    // only its deterministic scalars: the component list and the replay
-    // hint (a host path) go to the diagnostic stream and NDJSON only.
+    // byte-identity across wheel modes.
     if (r.telemetry.enabled) {
         os << "  \"telemetry\": {\n    \"interval\": " << r.telemetry.interval
            << ",\n    \"captured\": " << r.telemetry.captured
@@ -245,15 +218,7 @@ std::string run_report_json(const core::RunResult& r,
                << ", \"instrs_retired\": " << f.instrs_retired << "}";
             first = false;
         }
-        os << (first ? "" : "\n    ") << "],\n    \"stalled\": "
-           << (r.telemetry.stalled ? "true" : "false");
-        if (r.telemetry.stalled) {
-            os << ",\n    \"stall\": {\"cycle\": " << r.telemetry.stall.cycle
-               << ", \"samples\": " << r.telemetry.stall.samples
-               << ", \"stalled_cycles\": " << r.telemetry.stall.stalled_cycles
-               << "}";
-        }
-        os << "\n  },\n";
+        os << (first ? "" : "\n    ") << "]\n  },\n";
     }
 
     // Host-side scheduler counters: opt-in (dta_run --metrics trend

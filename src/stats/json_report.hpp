@@ -17,9 +17,9 @@ namespace dta::stats {
 /// control characters).
 [[nodiscard]] std::string json_escape(std::string_view s);
 
-/// Serialises just the metrics registry: one object per counter, histogram
-/// (count/sum/min/max/mean/p50/p90/p99 + non-empty log2 buckets) and gauge
-/// (last/max + the sampled [cycle, value] series).
+/// Serialises just the metrics registry: one entry per counter and one
+/// object per histogram (count/sum/min/max/mean/p50/p90/p99 + non-empty
+/// log2 buckets).
 [[nodiscard]] std::string metrics_json(const sim::MetricsRegistry& reg,
                                        int indent = 0);
 

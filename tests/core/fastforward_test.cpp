@@ -31,7 +31,7 @@ struct Captured {
     std::string json;
     std::string events;    ///< DTAEV1 text of the event log
     std::string critpath;  ///< dta_analyze JSON over that log
-    std::string chrome;    ///< full-fat Chrome-trace export (with flows)
+    std::string chrome;    ///< Chrome-trace export (flows and telemetry)
 };
 
 template <typename Workload>
@@ -41,6 +41,10 @@ Captured run_with(const Workload& w, MachineConfig cfg, bool prefetch,
     cfg.capture_spans = true;
     cfg.collect_metrics = true;
     cfg.collect_events = true;
+    // Frames every 256 cycles exercise the wheel's sample replay over the
+    // spans it jumps; the report and the trace carry them.
+    cfg.telemetry.enabled = true;
+    cfg.telemetry.interval = 256;
     const workloads::RunOutcome out = workloads::run_workload(w, cfg, prefetch);
     EXPECT_TRUE(out.correct) << (use_wheel ? "wheel: " : "dense: ")
                              << out.detail;
@@ -54,9 +58,13 @@ Captured run_with(const Workload& w, MachineConfig cfg, bool prefetch,
     file.events = out.result.events.flatten();
     const auto analysis = stats::analyze(file);
     const std::string crit = stats::critpath_json(analysis, "det");
-    const std::string chrome = chrome_trace_json(
-        out.result.spans, out.result.code_names, out.result.metrics,
-        out.result.dma_spans, analysis.flows, out.result.host_profile);
+    // No `wheel` flag: the frames' host-side tail differs between loops.
+    const std::string chrome =
+        chrome_trace_json({.spans = out.result.spans,
+                           .code_names = out.result.code_names,
+                           .dma_spans = out.result.dma_spans,
+                           .flows = analysis.flows,
+                           .telemetry = &out.result.telemetry});
     EXPECT_TRUE(stats::validate_json(chrome))
         << "chrome trace is not well-formed JSON";
     return {out.result, out.cycles_fast_forwarded,

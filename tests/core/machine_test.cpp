@@ -4,11 +4,11 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "core/machine.hpp"
 #include "isa/builder.hpp"
 #include "sim/check.hpp"
-#include "sim/telemetry.hpp"
 #include "test_util.hpp"
 
 namespace dta::core {
@@ -236,9 +236,10 @@ TEST(Machine, OverStoringFrameFaults) {
     EXPECT_THROW((void)m.run(), sim::SimError);
 }
 
-TEST(Machine, DeadlockDetectedWhenFramesExhausted) {
-    // main FALLOCs more children than frames exist, and the children all
-    // wait on stores main will never send: the no-progress detector fires.
+/// main FALLOCs more children than frames exist, and the children all wait
+/// on stores main will never send: a frame-starved wedge on one SPE with
+/// four frames (examples/programs/wedge.dta is the same program).
+isa::Program wedge_program() {
     isa::Program prog;
     isa::CodeBuilder w("waiter", 1);
     w.block(CodeBlock::kPl).load(r(1), 0);
@@ -251,11 +252,19 @@ TEST(Machine, DeadlockDetectedWhenFramesExhausted) {
     }
     p.ffree().stop();
     prog.entry = prog.add(std::move(p).build());
+    return prog;
+}
 
+MachineConfig wedge_config(bool use_wheel) {
     auto cfg = tiny_config(1);
     cfg.lse = sched::LseConfig::with(4, 512);
     cfg.no_progress_limit = 20'000;
-    core::Machine m(cfg, prog);
+    cfg.use_wheel = use_wheel;
+    return cfg;
+}
+
+TEST(Machine, DeadlockDetectedWhenFramesExhausted) {
+    core::Machine m(wedge_config(true), wedge_program());
     m.launch({});
     try {
         (void)m.run();
@@ -284,69 +293,135 @@ TEST(Machine, HostThreadsOtherThanOneRejected) {
     }
 }
 
-TEST(Machine, TelemetryWatchdogFlagsInjectedStall) {
-    // Same wedged program as above, but with the telemetry watchdog armed
-    // at a cadence well inside the no-progress limit: the watchdog must
-    // emit exactly one diagnostic naming the stuck components before the
-    // deadlock detector aborts the run.
-    isa::Program prog;
-    isa::CodeBuilder w("waiter", 1);
-    w.block(CodeBlock::kPl).load(r(1), 0);
-    w.block(CodeBlock::kPs).ffree().stop();
-    const auto waiter = prog.add(std::move(w).build());
-    isa::CodeBuilder p("main", 0);
-    p.block(CodeBlock::kPs).movi(r(2), 0);
-    for (int i = 0; i < 6; ++i) {
-        p.falloc(r(3), waiter);
+/// Lines of \p path that contain \p needle.
+std::vector<std::string> lines_with(const std::string& path,
+                                    const std::string& needle) {
+    std::vector<std::string> hits;
+    std::FILE* f = std::fopen(path.c_str(), "r");
+    if (f == nullptr) {
+        return hits;
     }
-    p.ffree().stop();
-    prog.entry = prog.add(std::move(p).build());
+    char buf[1024];
+    while (std::fgets(buf, sizeof buf, f) != nullptr) {
+        if (std::string(buf).find(needle) != std::string::npos) {
+            hits.emplace_back(buf);
+        }
+    }
+    std::fclose(f);
+    return hits;
+}
 
-    auto cfg = tiny_config(1);
-    cfg.lse = sched::LseConfig::with(4, 512);
-    cfg.no_progress_limit = 20'000;
-    // The wheel would flag this wedge as idle-forever on the very first
-    // quiet cycle; the dense oracle ticks on, so the stall persists long
-    // enough for the sampling watchdog to see it — the scenario the
-    // watchdog exists for (stalls no horizon can prove).
-    cfg.use_wheel = false;
-    cfg.telemetry.enabled = true;
-    cfg.telemetry.interval = 256;
-    cfg.telemetry.watchdog_samples = 4;
-    core::Machine m(cfg, prog);
-    std::FILE* diag = std::tmpfile();
-    ASSERT_NE(diag, nullptr);
-    m.set_telemetry_diag(diag);
-    m.launch({});
-    try {
-        (void)m.run();
-        FAIL() << "expected deadlock";
-    } catch (const sim::SimError& e) {
-        EXPECT_NE(std::string(e.what()).find("deadlock"), std::string::npos);
+TEST(Machine, DeadlockStreamsOneStallLineUnderBothLoops) {
+    // The one stall trip path: the dense oracle reaches it through the
+    // no-progress check, the wheel through its idle-forever test.  Either
+    // way the telemetry stream gets exactly one stall line and the run
+    // throws one line naming the stuck components and queue depths; once
+    // a checkpoint exists, both carry the --restore replay command.
+    for (const bool use_wheel : {true, false}) {
+        for (const bool checkpoints : {false, true}) {
+            SCOPED_TRACE(std::string(use_wheel ? "wheel" : "dense") +
+                         (checkpoints ? " with checkpoints" : ""));
+            auto cfg = wedge_config(use_wheel);
+            const std::string stream =
+                ::testing::TempDir() + "wedge_stall.ndjson";
+            cfg.telemetry.enabled = true;
+            cfg.telemetry.interval = 256;
+            cfg.telemetry.stream_path = stream;
+            // The wheel trips on its first quiet cycle, the dense loop
+            // after no_progress_limit: checkpoint each well before that.
+            const sim::Cycle every = use_wheel ? 8 : 4096;
+            const std::string prefix = ::testing::TempDir() + "wedge";
+            std::string what;
+            sim::Cycle last_ckpt = 0;
+            {
+                core::Machine m(cfg, wedge_program());
+                m.set_replay_hint("dta_run wedge.dta");
+                if (checkpoints) {
+                    m.set_checkpoints(every, prefix);
+                }
+                m.launch({});
+                try {
+                    (void)m.run();
+                    ADD_FAILURE() << "expected deadlock";
+                } catch (const sim::SimError& e) {
+                    what = e.what();
+                }
+                last_ckpt = m.last_checkpoint_cycle();
+            }  // closes the stream
+            EXPECT_NE(what.find("deadlock at cycle "), std::string::npos)
+                << what;
+            EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+            EXPECT_NE(what.find("(stuck: dse0, pe0; "), std::string::npos)
+                << what;
+            EXPECT_NE(what.find("queues: mfc=0 mem=0 noc=0"),
+                      std::string::npos)
+                << what;
+            const std::vector<std::string> stalls =
+                lines_with(stream, "\"type\":\"stall\"");
+            ASSERT_EQ(stalls.size(), 1u);
+            EXPECT_NE(stalls[0].find("\"components\":\"dse0, pe0\""),
+                      std::string::npos)
+                << stalls[0];
+            const std::string restore = "dta_run wedge.dta --restore " +
+                                        prefix + ".c" +
+                                        std::to_string(last_ckpt) +
+                                        ".dtasnap";
+            if (checkpoints) {
+                EXPECT_GT(last_ckpt, 0u);
+                EXPECT_NE(what.find("; replay: " + restore),
+                          std::string::npos)
+                    << what;
+                EXPECT_NE(stalls[0].find(restore), std::string::npos)
+                    << stalls[0];
+            } else {
+                EXPECT_EQ(what.find("--restore"), std::string::npos) << what;
+            }
+            for (sim::Cycle c = every; c <= last_ckpt; c += every) {
+                std::remove(
+                    (prefix + ".c" + std::to_string(c) + ".dtasnap").c_str());
+            }
+            std::remove(stream.c_str());
+        }
     }
-    ASSERT_NE(m.telemetry(), nullptr);
-    EXPECT_TRUE(m.telemetry()->stalled());
-    const sim::TelemetryResult tr = m.telemetry()->result();
-    EXPECT_TRUE(tr.stalled);
-    EXPECT_EQ(tr.stall.samples, 4u);
-    EXPECT_FALSE(tr.stall.components.empty())
-        << "diagnostic must name the stuck components";
+}
 
-    std::rewind(diag);
-    std::string text;
-    char buf[256];
-    while (std::fgets(buf, sizeof buf, diag) != nullptr) {
-        text += buf;
+TEST(Machine, RunLongerThanNoProgressLimitCompletes) {
+    // A live run many no-progress windows long completes under both loops:
+    // the detector trips on a fingerprint frozen for no_progress_limit
+    // cycles, never on run length, and it resets whenever progress
+    // resumes.  Each READ's address depends on the previous READ's value
+    // (always 0), so the 32 accesses serialise, 6000 cycles apart: longer
+    // than the 4096-cycle check grid, so some checks see a frozen
+    // fingerprint (replayed over the spans the wheel jumps), but shorter
+    // than the limit.
+    const auto prog = test::single_thread(
+        [](isa::CodeBuilder& b) {
+            b.movi(r(18), kOut).movi(r(1), 0).movi(r(20), 0);
+            for (int i = 0; i < 32; ++i) {
+                b.add(r(17), r(18), r(1))
+                    .read(r(1), r(17), 0)
+                    .add(r(20), r(20), r(1))
+                    .addi(r(20), r(20), 1);
+            }
+        },
+        1, kOut + 4);
+    for (const bool use_wheel : {true, false}) {
+        SCOPED_TRACE(use_wheel ? "wheel" : "dense");
+        auto cfg = tiny_config(1);
+        cfg.memory.latency = 6000;
+        cfg.no_progress_limit = 0x2000;
+        cfg.use_wheel = use_wheel;
+        cfg.telemetry.enabled = true;
+        cfg.telemetry.interval = 256;
+        core::Machine m(cfg, prog);
+        m.launch({});
+        const RunResult res = m.run();
+        EXPECT_GT(res.cycles, 16 * cfg.no_progress_limit);
+        EXPECT_EQ(m.memory().read_u32(kOut + 4), 32u);
+        if (use_wheel) {
+            EXPECT_GT(m.cycles_fast_forwarded(), 0u);
+        }
     }
-    std::fclose(diag);
-    std::size_t hits = 0;
-    for (std::size_t at = text.find("telemetry watchdog:");
-         at != std::string::npos;
-         at = text.find("telemetry watchdog:", at + 1)) {
-        ++hits;
-    }
-    EXPECT_EQ(hits, 1u) << "exactly one diagnostic, got:\n" << text;
-    EXPECT_NE(text.find("stuck:"), std::string::npos) << text;
 }
 
 TEST(Machine, StatsArePopulated) {

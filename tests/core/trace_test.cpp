@@ -125,8 +125,9 @@ TEST(ChromeTrace, EmitsWellFormedJson) {
     std::vector<ThreadSpan> spans;
     spans.push_back(ThreadSpan{0, 10, 25, 0, 3, false});
     spans.push_back(ThreadSpan{1, 12, 40, 1, 0, true});
+    const std::vector<std::string> names{"alpha", "beta"};
     const std::string json =
-        chrome_trace_json(spans, {"alpha", "beta"});
+        chrome_trace_json({.spans = spans, .code_names = names});
     EXPECT_EQ(json.front(), '[');
     EXPECT_NE(json.find(R"("name": "alpha")"), std::string::npos);
     EXPECT_NE(json.find("\"name\": \"beta (resume)\""), std::string::npos);
@@ -134,29 +135,47 @@ TEST(ChromeTrace, EmitsWellFormedJson) {
     EXPECT_NE(json.find(R"("dur": 15)"), std::string::npos);
     EXPECT_NE(json.find(R"("tid": 1)"), std::string::npos);
     // Unknown code ids degrade gracefully.
-    const std::string fallback =
-        chrome_trace_json({ThreadSpan{0, 0, 1, 7, 0, false}}, {});
+    const std::vector<ThreadSpan> unknown{ThreadSpan{0, 0, 1, 7, 0, false}};
+    const std::string fallback = chrome_trace_json({.spans = unknown});
     EXPECT_NE(fallback.find("code7"), std::string::npos);
 }
 
 TEST(ChromeTrace, EmitsCounterTracksAndDmaSlices) {
-    sim::MetricsRegistry reg;
-    reg.enable();
-    sim::GaugeSeries* q = reg.gauge("mem.queue_depth");
-    q->sample(0, 0);
-    q->sample(256, 5);
-    reg.gauge("dma.commands_in_flight")->sample(256, 2);
+    sim::TelemetryResult telemetry;
+    telemetry.enabled = true;
+    sim::TelemetryFrame f;
+    f.mem_queue = 0;
+    f.wheel_armed = 4;
+    f.wheel_inserts = 10;
+    telemetry.frames.push_back(f);
+    f.cycle = 256;
+    f.mem_queue = 5;
+    f.mfc_commands = 2;
+    f.wheel_armed = 3;
+    f.wheel_inserts = 25;
+    telemetry.frames.push_back(f);
 
     std::vector<dma::DmaSpan> dma;
     dma.push_back(dma::DmaSpan{3, 1, dma::MfcOp::kGet, 512, 100, 180});
 
-    const std::string json = chrome_trace_json({}, {}, reg, dma);
-    // Counter events: ph C, one per sample, named after the gauge.
-    EXPECT_NE(json.find(R"("name": "mem.queue_depth", "cat": "gauge", )"
-                        R"("ph": "C", "ts": 256, "pid": 1, )"
+    const std::string json = chrome_trace_json(
+        {.dma_spans = dma, .telemetry = &telemetry, .wheel = true});
+    EXPECT_TRUE(stats::validate_json(json));
+    // Counter events: ph C, one per frame, named after the frame field.
+    EXPECT_NE(json.find(R"("name": "mem_queue", "cat": "telemetry", )"
+                        R"("ph": "C", "ts": 256, "pid": 5, )"
                         R"("args": {"value": 5})"),
               std::string::npos);
-    EXPECT_NE(json.find(R"("name": "dma.commands_in_flight")"),
+    EXPECT_NE(json.find(R"("name": "mfc_commands")"), std::string::npos);
+    // The wheel tracks come from the frames' host tail: armed components
+    // as sampled, inserts as a per-interval delta.
+    EXPECT_NE(json.find(R"("name": "wheel/armed", "cat": "wheel", )"
+                        R"("ph": "C", "ts": 256, "pid": 4, )"
+                        R"("args": {"value": 3})"),
+              std::string::npos);
+    EXPECT_NE(json.find(R"("name": "wheel/inserts", "cat": "wheel", )"
+                        R"("ph": "C", "ts": 256, "pid": 4, )"
+                        R"("args": {"value": 15})"),
               std::string::npos);
     // DMA transfers: async begin/end pair on the DMA process, tid = PE.
     EXPECT_NE(json.find(R"("name": "GET 512B", "cat": "dma", "ph": "b")"),
@@ -164,9 +183,14 @@ TEST(ChromeTrace, EmitsCounterTracksAndDmaSlices) {
     EXPECT_NE(json.find(R"("ph": "e")"), std::string::npos);
     EXPECT_NE(json.find(R"("ts": 100, "pid": 2, "tid": 3)"),
               std::string::npos);
-    // Process-name metadata labels all three tracks.
-    EXPECT_NE(json.find(R"({"name": "counters"})"), std::string::npos);
+    // Process-name metadata labels the tracks.
+    EXPECT_NE(json.find(R"({"name": "telemetry"})"), std::string::npos);
+    EXPECT_NE(json.find(R"({"name": "wheel"})"), std::string::npos);
     EXPECT_NE(json.find(R"({"name": "DMA"})"), std::string::npos);
+    // Without the wheel flag the host tail stays out of the trace.
+    const std::string dense =
+        chrome_trace_json({.dma_spans = dma, .telemetry = &telemetry});
+    EXPECT_EQ(dense.find("\"pid\": 4"), std::string::npos);
 }
 
 TEST(ChromeTrace, EmitsTrackMetadataAndFlowArrows) {
@@ -178,9 +202,9 @@ TEST(ChromeTrace, EmitsTrackMetadataAndFlowArrows) {
     flows.push_back(TraceFlow{0, 20, 2, 30, false});
     flows.push_back(TraceFlow{0, 22, 2, 30, true});
 
-    sim::MetricsRegistry reg;
-    const std::string json =
-        chrome_trace_json(spans, {"alpha", "beta"}, reg, {}, flows);
+    const std::vector<std::string> names{"alpha", "beta"};
+    const std::string json = chrome_trace_json(
+        {.spans = spans, .code_names = names, .flows = flows});
     EXPECT_TRUE(stats::validate_json(json));
     // Perfetto row metadata: every SPU row up to the highest seen gets a
     // name and a sort index pinning PE order.
@@ -204,14 +228,6 @@ TEST(ChromeTrace, EmitsTrackMetadataAndFlowArrows) {
               std::string::npos);
 }
 
-TEST(ChromeTrace, FourArgOverloadMatchesEmptyFlows) {
-    std::vector<ThreadSpan> spans;
-    spans.push_back(ThreadSpan{0, 0, 5, 0, 0, false});
-    sim::MetricsRegistry reg;
-    EXPECT_EQ(chrome_trace_json(spans, {"a"}, reg, {}),
-              chrome_trace_json(spans, {"a"}, reg, {}, {}));
-}
-
 /// Occurrences of \p needle in \p hay (for event-balance counting).
 std::size_t count_of(const std::string& hay, const std::string& needle) {
     std::size_t n = 0;
@@ -233,9 +249,11 @@ TEST(ChromeTrace, FlowAndAsyncEventsBalance) {
     std::vector<dma::DmaSpan> dma;
     dma.push_back(dma::DmaSpan{0, 1, dma::MfcOp::kGet, 512, 5, 30});
     dma.push_back(dma::DmaSpan{1, 2, dma::MfcOp::kPut, 256, 12, 20});
-    sim::MetricsRegistry reg;
-    const std::string json =
-        chrome_trace_json(spans, {"w"}, reg, dma, flows);
+    const std::vector<std::string> names{"w"};
+    const std::string json = chrome_trace_json({.spans = spans,
+                                                .code_names = names,
+                                                .dma_spans = dma,
+                                                .flows = flows});
     EXPECT_TRUE(stats::validate_json(json));
     // Every flow start has exactly one finish, every async begin an end.
     EXPECT_EQ(count_of(json, R"("ph": "s")"), 3u);
@@ -261,9 +279,7 @@ TEST(ChromeTrace, HostProfileTracksWhenEnabled) {
     sh.samples = {s0, s1};
     host.shards.push_back(sh);
 
-    sim::MetricsRegistry reg;
-    const std::string json =
-        chrome_trace_json({}, {}, reg, {}, {}, host);
+    const std::string json = chrome_trace_json({.host = &host});
     EXPECT_TRUE(stats::validate_json(json));
     // The host process track exists, named per (shard, phase), and each
     // sample plots the delta since the previous snapshot.
@@ -281,10 +297,11 @@ TEST(ChromeTrace, HostProfileTracksWhenEnabled) {
 TEST(ChromeTrace, DisabledHostProfileMatchesFlowVariant) {
     std::vector<ThreadSpan> spans;
     spans.push_back(ThreadSpan{0, 0, 5, 0, 0, false});
-    sim::MetricsRegistry reg;
-    EXPECT_EQ(chrome_trace_json(spans, {"a"}, reg, {}, {}),
-              chrome_trace_json(spans, {"a"}, reg, {}, {},
-                                sim::HostProfile{}));
+    const std::vector<std::string> names{"a"};
+    const sim::HostProfile disabled;
+    EXPECT_EQ(chrome_trace_json({.spans = spans, .code_names = names}),
+              chrome_trace_json(
+                  {.spans = spans, .code_names = names, .host = &disabled}));
 }
 
 TEST(ChromeTrace, FullVariantFromRealRunIsWellFormed) {
@@ -295,15 +312,19 @@ TEST(ChromeTrace, FullVariantFromRealRunIsWellFormed) {
     auto cfg = workloads::MatMul::machine_config(2);
     cfg.capture_spans = true;
     cfg.collect_metrics = true;
+    cfg.telemetry.enabled = true;
+    cfg.telemetry.interval = 64;
     core::Machine m(cfg, wl.prefetch_program());
     wl.init_memory(m.memory());
     m.launch({});
     const auto res = m.run();
     ASSERT_FALSE(res.dma_spans.empty());
-    ASSERT_GE(res.metrics.gauges().size(), 2u);
-    const std::string json =
-        chrome_trace_json(res.spans, res.code_names, res.metrics,
-                          res.dma_spans);
+    ASSERT_GE(res.telemetry.frames.size(), 2u);
+    const std::string json = chrome_trace_json({.spans = res.spans,
+                                                .code_names = res.code_names,
+                                                .dma_spans = res.dma_spans,
+                                                .telemetry = &res.telemetry,
+                                                .wheel = res.wheel.enabled});
     // Every DMA span must fit the run and be non-empty.
     for (const auto& d : res.dma_spans) {
         EXPECT_LT(d.begin, d.end);

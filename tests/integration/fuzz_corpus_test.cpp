@@ -120,8 +120,10 @@ TEST_P(WheelCorpus, WheelRunReportMatchesDense) {
         cfg.lse = sched::LseConfig::with(shape.frames, kStaging);
         cfg.lse.virtual_frames = shape.vfp;
         cfg.use_wheel = use_wheel;
-        // Sampled gauges exercise the wheel's skip-span sample replay.
+        // Telemetry frames exercise the wheel's skip-span sample replay.
         cfg.collect_metrics = true;
+        cfg.telemetry.enabled = true;
+        cfg.telemetry.interval = 256;
         Machine machine(cfg, prog);
         gen.init_memory(machine.memory());
         machine.launch(args);

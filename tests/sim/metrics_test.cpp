@@ -1,4 +1,4 @@
-// Histogram bucketing / percentiles, gauge series, and registry gating.
+// Histogram bucketing / percentiles and registry gating.
 #include "sim/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -82,25 +82,11 @@ TEST(Histogram, MergeMatchesCombinedRecording) {
     EXPECT_EQ(a.buckets(), combined.buckets());
 }
 
-TEST(GaugeSeries, KeepsOrderedSamplesAndMax) {
-    GaugeSeries g;
-    EXPECT_EQ(g.last(), 0);
-    g.sample(0, 3);
-    g.sample(256, 7);
-    g.sample(512, 2);
-    ASSERT_EQ(g.samples().size(), 3u);
-    EXPECT_EQ(g.samples()[1].cycle, 256u);
-    EXPECT_EQ(g.samples()[1].value, 7);
-    EXPECT_EQ(g.max(), 7);
-    EXPECT_EQ(g.last(), 2);
-}
-
 TEST(MetricsRegistry, DisabledReturnsNull) {
     MetricsRegistry reg;
     EXPECT_FALSE(reg.enabled());
     EXPECT_EQ(reg.counter("x"), nullptr);
     EXPECT_EQ(reg.histogram("x"), nullptr);
-    EXPECT_EQ(reg.gauge("x"), nullptr);
     EXPECT_TRUE(reg.counters().empty());
 }
 
@@ -127,10 +113,10 @@ TEST(MetricsRegistry, CopyCarriesData) {
     MetricsRegistry reg;
     reg.enable();
     reg.counter("n")->add(9);
-    reg.gauge("g")->sample(128, 4);
+    reg.histogram("h")->record(4);
     const MetricsRegistry copy = reg;  // the RunResult path
     EXPECT_EQ(copy.counters().at("n").value, 9u);
-    EXPECT_EQ(copy.gauges().at("g").last(), 4);
+    EXPECT_EQ(copy.histograms().at("h").max(), 4u);
 }
 
 }  // namespace

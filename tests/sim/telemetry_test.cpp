@@ -1,10 +1,10 @@
-// TelemetrySampler mechanics: bounded-ring eviction order, the one-shot
-// stall watchdog (trigger, latch, reset-on-progress, quiescence immunity),
-// and the NDJSON line formats dta_top parses.
+// TelemetrySampler mechanics: bounded-ring eviction order, the NDJSON line
+// formats dta_top parses, and the stream writer.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "sim/check.hpp"
 #include "sim/telemetry.hpp"
@@ -12,11 +12,10 @@
 namespace dta::sim {
 namespace {
 
-TelemetryFrame frame_at(std::uint64_t cycle, std::uint64_t fp) {
+TelemetryFrame frame_at(std::uint64_t cycle, std::uint64_t retired) {
     TelemetryFrame f;
     f.cycle = cycle;
-    f.activity_fp = fp;
-    f.instrs_retired = fp;  // any monotone stand-in
+    f.instrs_retired = retired;
     return f;
 }
 
@@ -32,10 +31,9 @@ TEST(Telemetry, ConfigMustBeSane) {
 TEST(Telemetry, RingKeepsNewestAndCountsDrops) {
     TelemetryConfig cfg;
     cfg.ring_capacity = 4;
-    cfg.watchdog_samples = 0;
     TelemetrySampler s(cfg);
     for (std::uint64_t i = 0; i < 10; ++i) {
-        s.record(frame_at(i * 100, i), false);
+        s.record(frame_at(i * 100, i));
     }
     const TelemetryResult r = s.result();
     EXPECT_TRUE(r.enabled);
@@ -52,97 +50,13 @@ TEST(Telemetry, RingBelowCapacityKeepsEverything) {
     TelemetryConfig cfg;
     cfg.ring_capacity = 8;
     TelemetrySampler s(cfg);
-    s.record(frame_at(0, 1), false);
-    s.record(frame_at(100, 2), false);
+    s.record(frame_at(0, 1));
+    s.record(frame_at(100, 2));
     const TelemetryResult r = s.result();
     EXPECT_EQ(r.dropped, 0u);
     ASSERT_EQ(r.frames.size(), 2u);
     EXPECT_EQ(r.frames[0].cycle, 0u);
     EXPECT_EQ(r.frames[1].cycle, 100u);
-}
-
-TEST(Telemetry, WatchdogFiresOnceAfterNSamples) {
-    TelemetryConfig cfg;
-    cfg.watchdog_samples = 3;
-    TelemetrySampler s(cfg);
-    std::FILE* diag = std::tmpfile();
-    ASSERT_NE(diag, nullptr);
-    s.set_diag_stream(diag);
-    int stall_info_calls = 0;
-    s.set_stall_info([&stall_info_calls](TelemetryStall& st) {
-        ++stall_info_calls;
-        st.components = "lse0, router0";
-    });
-    // Progress, then a frozen fingerprint; the reference sample (sample 0
-    // of the freeze) does not count, the next 3 do.
-    s.record(frame_at(0, 7), false);
-    s.record(frame_at(100, 9), false);
-    for (std::uint64_t i = 2; i < 10; ++i) {
-        s.record(frame_at(i * 100, 9), false);
-    }
-    EXPECT_TRUE(s.stalled());
-    EXPECT_EQ(stall_info_calls, 1) << "diagnostic must latch after firing";
-    const TelemetryResult r = s.result();
-    EXPECT_TRUE(r.stalled);
-    EXPECT_EQ(r.stall.cycle, 400u);  // 3rd frozen sample after cycle 100
-    EXPECT_EQ(r.stall.samples, 3u);
-    EXPECT_EQ(r.stall.stalled_cycles, 300u);
-    EXPECT_EQ(r.stall.components, "lse0, router0");
-    // Exactly one diagnostic line reached the stream.
-    std::rewind(diag);
-    std::string text;
-    char buf[256];
-    while (std::fgets(buf, sizeof buf, diag) != nullptr) {
-        text += buf;
-    }
-    std::fclose(diag);
-    std::size_t hits = 0;
-    for (std::size_t at = text.find("telemetry watchdog:");
-         at != std::string::npos;
-         at = text.find("telemetry watchdog:", at + 1)) {
-        ++hits;
-    }
-    EXPECT_EQ(hits, 1u) << text;
-    EXPECT_NE(text.find("lse0"), std::string::npos) << text;
-}
-
-TEST(Telemetry, WatchdogResetsWhenProgressResumes) {
-    TelemetryConfig cfg;
-    cfg.watchdog_samples = 3;
-    TelemetrySampler s(cfg);
-    std::uint64_t cycle = 0;
-    const auto freeze = [&](std::uint64_t fp, int n) {
-        for (int i = 0; i < n; ++i) {
-            s.record(frame_at(cycle, fp), false);
-            cycle += 100;
-        }
-    };
-    freeze(5, 3);   // 2 frozen samples — below the threshold
-    freeze(6, 3);   // progress resets the streak, then 2 frozen again
-    freeze(7, 3);
-    EXPECT_FALSE(s.stalled());
-}
-
-TEST(Telemetry, WatchdogIgnoresQuiescentMachine) {
-    TelemetryConfig cfg;
-    cfg.watchdog_samples = 2;
-    TelemetrySampler s(cfg);
-    // A finished machine has a frozen fingerprint but is quiescent: a
-    // drained run is completion, not a stall.
-    for (std::uint64_t i = 0; i < 8; ++i) {
-        s.record(frame_at(i * 100, 42), /*quiescent=*/true);
-    }
-    EXPECT_FALSE(s.stalled());
-}
-
-TEST(Telemetry, WatchdogDisabledByZeroSamples) {
-    TelemetryConfig cfg;
-    cfg.watchdog_samples = 0;
-    TelemetrySampler s(cfg);
-    for (std::uint64_t i = 0; i < 20; ++i) {
-        s.record(frame_at(i * 100, 42), false);
-    }
-    EXPECT_FALSE(s.stalled());
 }
 
 TEST(Telemetry, NdjsonFrameLine) {
@@ -160,25 +74,26 @@ TEST(Telemetry, NdjsonFrameLine) {
     f.host_ns = 1234;
     f.wheel_armed = 11;
     f.wheel_pops = 999;
+    f.wheel_inserts = 1500;
     const std::string line = TelemetrySampler::ndjson_line(f);
     EXPECT_EQ(line,
               "{\"type\":\"frame\",\"cycle\":12800,\"running\":3,"
               "\"ready\":5,\"waitdma\":2,\"frames_live\":9,"
               "\"mfc_commands\":4,\"dma_bytes\":512,\"mem_queue\":1,"
               "\"noc_pending\":6,\"instrs_retired\":777,\"host_ns\":1234,"
-              "\"wheel_armed\":11,\"wheel_pops\":999}\n");
+              "\"wheel_armed\":11,\"wheel_pops\":999,"
+              "\"wheel_inserts\":1500}\n");
 }
 
 TEST(Telemetry, NdjsonStallLineEscapes) {
     TelemetryStall st;
     st.cycle = 500;
-    st.samples = 4;
     st.stalled_cycles = 400;
     st.components = "mfc0 \"queue\"\nlse1 c:\\x";
     st.replay = "dta_run p.dta --restore snap";
     const std::string line = TelemetrySampler::ndjson_stall_line(st);
     EXPECT_EQ(line,
-              "{\"type\":\"stall\",\"cycle\":500,\"samples\":4,"
+              "{\"type\":\"stall\",\"cycle\":500,"
               "\"stalled_cycles\":400,"
               "\"components\":\"mfc0 \\\"queue\\\"\\nlse1 c:\\\\x\","
               "\"replay\":\"dta_run p.dta --restore snap\"}\n");
@@ -187,13 +102,12 @@ TEST(Telemetry, NdjsonStallLineEscapes) {
 TEST(Telemetry, StreamWritesOneLinePerFrame) {
     // A plain file stands in for the FIFO: same fopen/fwrite path.
     TelemetryConfig cfg;
-    cfg.watchdog_samples = 0;
     const std::string path = ::testing::TempDir() + "telemetry_stream.ndjson";
     cfg.stream_path = path;
     {
         TelemetrySampler s(cfg);
-        s.record(frame_at(0, 1), false);
-        s.record(frame_at(100, 2), false);
+        s.record(frame_at(0, 1));
+        s.record(frame_at(100, 2));
     }
     std::FILE* f = std::fopen(path.c_str(), "r");
     ASSERT_NE(f, nullptr);
@@ -211,6 +125,38 @@ TEST(Telemetry, StreamWritesOneLinePerFrame) {
     EXPECT_EQ(lines, 2);
     EXPECT_NE(first.find("\"type\":\"frame\""), std::string::npos);
     EXPECT_NE(first.find("\"cycle\":0"), std::string::npos);
+}
+
+TEST(Telemetry, StallLineFollowsTheFrames) {
+    // The deadlock detector hands its stall to the sampler, which appends
+    // it to the stream after the frames; without a stream it is a no-op.
+    TelemetryConfig cfg;
+    TelemetryStall st;
+    st.cycle = 300;
+    st.components = "pe0";
+    TelemetrySampler quiet(cfg);
+    quiet.record_stall(st);
+    EXPECT_EQ(quiet.captured(), 0u);
+
+    const std::string path = ::testing::TempDir() + "telemetry_stall.ndjson";
+    cfg.stream_path = path;
+    {
+        TelemetrySampler s(cfg);
+        s.record(frame_at(0, 1));
+        s.record(frame_at(256, 2));
+        s.record_stall(st);
+    }
+    std::FILE* f = std::fopen(path.c_str(), "r");
+    ASSERT_NE(f, nullptr);
+    std::vector<std::string> lines;
+    char buf[512];
+    while (std::fgets(buf, sizeof buf, f) != nullptr) {
+        lines.emplace_back(buf);
+    }
+    std::fclose(f);
+    std::remove(path.c_str());
+    ASSERT_EQ(lines.size(), 3u);
+    EXPECT_EQ(lines[2], TelemetrySampler::ndjson_stall_line(st));
 }
 
 TEST(Telemetry, UnwritableStreamPathIsRefused) {

@@ -32,9 +32,11 @@
 ///                       byte-identical with or without it.
 ///     --breakdown       print the SPU cycle breakdown
 ///     --trace FILE      write a Chrome-trace JSON timeline to FILE
-///                       (includes counter tracks and DMA slices; with
-///                       --events also dataflow arrows between slices)
-///     --metrics FILE    write a JSON run report (histograms, gauges) to FILE
+///                       (includes DMA slices; with --telemetry also
+///                       counter tracks, with --events also dataflow
+///                       arrows between slices)
+///     --metrics FILE    write a JSON run report (counters, histograms;
+///                       with --telemetry also the frame timeline) to FILE
 ///     --events FILE     write the thread-lifecycle event log (DTAEV1) to
 ///                       FILE; feed it to dta_analyze
 ///     --progress[=N]    heartbeat to stderr every N simulated cycles
@@ -46,13 +48,14 @@
 ///                       --max-cycles) an ETA bound
 ///     --telemetry[=N]   live telemetry: sample a machine-wide frame every
 ///                       N cycles (default 8192) into a bounded ring; adds
-///                       a telemetry section to --metrics, counter tracks
-///                       to --trace, and arms the progress/stall watchdog
-///                       (see docs/OBSERVABILITY.md).  Simulated results
-///                       are byte-identical with or without it.
+///                       a telemetry section to --metrics and counter
+///                       tracks to --trace (see docs/OBSERVABILITY.md).
+///                       Simulated results are byte-identical with or
+///                       without it.
 ///     --telemetry-fifo PATH  also stream each frame as one NDJSON line to
-///                       PATH (a FIFO or file); `dta_top PATH` renders it
-///                       live.  Implies --telemetry.
+///                       PATH (a FIFO or file), plus a stall line if the
+///                       run deadlocks; `dta_top PATH` renders it live.
+///                       Implies --telemetry.
 ///     --log-level L     stderr simulator log: info, debug or trace
 ///     --disasm          print the disassembly and exit
 ///     --dump ADDR N     after the run, print N 32-bit words at ADDR
@@ -291,6 +294,24 @@ void dump_words(const mem::MainMemory& memory,
     }
 }
 
+/// The deadlock error's replay hint: this invocation minus any --restore
+/// (the error appends its own).
+std::string replay_hint(int argc, char** argv) {
+    std::string hint;
+    for (int i = 0; i < argc; ++i) {
+        const std::string a = argv[i];
+        if (a == "--restore") {
+            ++i;
+            continue;
+        }
+        if (a.rfind("--restore=", 0) == 0) {
+            continue;
+        }
+        hint += (hint.empty() ? "" : " ") + a;
+    }
+    return hint;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -355,23 +376,7 @@ int main(int argc, char** argv) {
         }
 
         core::Machine machine(cfg, prog);
-        if (cfg.telemetry.enabled) {
-            // The watchdog's replay hint reproduces this invocation minus
-            // any --restore (the diagnostic appends its own).
-            std::string hint;
-            for (int i = 0; i < argc; ++i) {
-                const std::string a = argv[i];
-                if (a == "--restore") {
-                    ++i;
-                    continue;
-                }
-                if (a.rfind("--restore=", 0) == 0) {
-                    continue;
-                }
-                hint += (hint.empty() ? "" : " ") + a;
-            }
-            machine.set_replay_hint(hint);
-        }
+        machine.set_replay_hint(replay_hint(argc, argv));
         sim::Cycle progress_interval = opt.progress_interval;
         if (opt.progress_default && cfg.telemetry.enabled) {
             // Round the default heartbeat up to a multiple of the telemetry
@@ -524,12 +529,10 @@ int main(int argc, char** argv) {
         if (res.telemetry.enabled) {
             std::printf(
                 "telemetry: %llu frames captured (interval %llu, "
-                "%llu dropped)%s\n",
+                "%llu dropped)\n",
                 static_cast<unsigned long long>(res.telemetry.captured),
                 static_cast<unsigned long long>(res.telemetry.interval),
-                static_cast<unsigned long long>(res.telemetry.dropped),
-                res.telemetry.stalled ? "; WATCHDOG STALL — see stderr"
-                                      : "");
+                static_cast<unsigned long long>(res.telemetry.dropped));
         }
         if (opt.breakdown) {
             std::fputs(
@@ -574,13 +577,16 @@ int main(int argc, char** argv) {
                              opt.trace_path.c_str());
                 return 1;
             }
-            out << core::chrome_trace_json(res.spans, res.code_names,
-                                           res.metrics, res.dma_spans, flows,
-                                           res.host_profile, res.wheel,
-                                           res.telemetry);
-            std::printf("wrote %zu spans, %zu counter tracks, %zu DMA "
+            out << core::chrome_trace_json({.spans = res.spans,
+                                            .code_names = res.code_names,
+                                            .dma_spans = res.dma_spans,
+                                            .flows = flows,
+                                            .host = &res.host_profile,
+                                            .telemetry = &res.telemetry,
+                                            .wheel = res.wheel.enabled});
+            std::printf("wrote %zu spans, %zu telemetry frames, %zu DMA "
                         "slices, %zu flows to %s\n",
-                        res.spans.size(), res.metrics.gauges().size(),
+                        res.spans.size(), res.telemetry.frames.size(),
                         res.dma_spans.size(), flows.size(),
                         opt.trace_path.c_str());
         }

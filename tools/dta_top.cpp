@@ -17,7 +17,7 @@
 ///
 /// The stream is self-describing NDJSON (one flat JSON object per line,
 /// see docs/OBSERVABILITY.md): `"type":"frame"` carries the machine-wide
-/// sample, `"type":"stall"` the watchdog diagnostic.  Parsing is a flat
+/// sample, `"type":"stall"` the deadlock detector's verdict.  Parsing is a flat
 /// key scan — no JSON dependency, mirroring stats/json_report's
 /// validator-not-parser stance.
 
@@ -127,7 +127,7 @@ struct Frame {
     std::uint64_t wheel_armed = 0;
 };
 
-/// Everything the view needs: the latest frame, per-gauge observed maxima
+/// Everything the view needs: the latest frame, per-field observed maxima
 /// (the bars' scale), rate anchors, and the stall line if one arrived.
 struct View {
     Frame cur;
@@ -223,7 +223,7 @@ void render(const View& v, const Options& opt, bool ansi) {
 
     // Busiest queues, ranked by occupancy relative to each one's own
     // observed peak — the telemetry stream is machine-wide, so the ranking
-    // is over subsystems, not individual components (the watchdog's stall
+    // is over subsystems, not individual components (the deadlock stall
     // line is what names components).
     std::vector<Row> rank(std::begin(rows) + 1, std::end(rows));
     std::stable_sort(rank.begin(), rank.end(), [](const Row& a, const Row& b) {
@@ -291,9 +291,12 @@ int main(int argc, char** argv) {
             std::uint64_t stalled_cycles = 0;
             field_u64(line, "cycle", cycle);
             field_u64(line, "stalled_cycles", stalled_cycles);
-            v.stall = "no progress for " + std::to_string(stalled_cycles) +
-                      " cycles at cycle " + std::to_string(cycle) +
-                      "; stuck: " + field_str(line, "components");
+            v.stall = "deadlock at cycle " + std::to_string(cycle);
+            if (stalled_cycles != 0) {
+                v.stall += " (no progress for " +
+                           std::to_string(stalled_cycles) + " cycles)";
+            }
+            v.stall += "; stuck: " + field_str(line, "components");
             const std::string replay = field_str(line, "replay");
             if (!replay.empty()) {
                 v.stall += "\nreplay: " + replay;
